@@ -390,9 +390,9 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_kernels_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--kernels", metavar="BACKEND",
-        help="array/kernel backend: 'numpy' (vectorized, default), "
-             "'scalar' (pure-Python oracle paths), 'cupy' (GPU, needs "
-             "cupy installed); overrides $REPRO_KERNELS",
+        help="array/kernel backend: 'numpy' (vectorized, compiled "
+             "pricing kernel; default), 'scalar' (pure-Python oracle "
+             "paths); overrides $REPRO_KERNELS",
     )
 
 

@@ -58,7 +58,7 @@ class RefinementState:
         "active_mask",
         "_cost_sign", "_cost_bias", "_cost_base", "_scratch",
         "_gather_memo", "_delta_memo", "_cost_integral", "_active_integral",
-        "_field_scratch", "_active_scratch", "_crop",
+        "_field_scratch", "_crop",
     )
 
     def __init__(
@@ -128,7 +128,6 @@ class RefinementState:
             self._cost_base = np.zeros_like(self._cost_sign)
             r0, r1, c0, c1 = self._crop
             self._field_scratch = np.empty((r1 - r0, c1 - c0), dtype=np.float64)
-            self._active_scratch = np.empty((r1 - r0, c1 - c0), dtype=bool)
             obs = get_recorder()
             obs.gauge("kernels.stitch_grid_px", float(ny * nx))
             obs.gauge(
@@ -136,8 +135,7 @@ class RefinementState:
             )
         else:
             self._cost_base = np.empty_like(self._cost_sign)
-            self._field_scratch = np.empty_like(self._cost_sign)
-            self._active_scratch = np.empty((ny, nx), dtype=bool)
+            self._field_scratch = None
         self._scratch = np.empty(0, dtype=np.float64)
         # Candidate geometry memo (windows + profile keys per shot rect)
         # and reused prefix-sum buffers — rebuilt contents every greedy
@@ -273,39 +271,28 @@ class RefinementState:
         remaining "active" pixels — typically a thin band around the
         contour — before the per-pixel scoring runs.  Rebuild per greedy
         pass, like :meth:`cost_integral`.
+
+        int32 is plenty (counts are bounded by the pixel count).  The
+        buffer is reused across passes and only valid until the next
+        call; its first row/column stay zero.  Cropped states fill the
+        box only: outside it, base ≡ 0 > −patch_bound, so those pixels
+        count as "active", but crop_to_active consumes only
+        *differences* of the prefix counts, and every candidate window
+        lies inside the active mask (gather/mutation guards), where
+        box-local and full prefix counts differ by a constant per
+        row/column that cancels.
         """
-        # int32 is plenty (counts are bounded by the pixel count) and
-        # halves the cumsum traffic; the buffer (zero first row/column,
-        # interior fully overwritten — box interior only when cropped,
-        # the rest stays at its exact initial value) is reused across
-        # passes and only valid until the next call.
-        integral = self._active_integral
-        if self._crop is not None:
-            # Outside the box, base ≡ 0 > −patch_bound: those pixels
-            # count as "active", but crop_to_active consumes only
-            # *differences* of the prefix counts, and every candidate
-            # window lies inside the active mask (gather/mutation
-            # guards), where box-local and full prefix counts differ by
-            # a constant per row/column that cancels.
-            r0, r1, c0, c1 = self._crop
-            box = (slice(r0, r1), slice(c0, c1))
-            interior = integral[r0 + 1 : r1 + 1, c0 + 1 : c1 + 1]
-            active = np.greater(
-                self._cost_base[box], -self.patch_bound(),
-                out=self._active_scratch,
-            )
-            np.cumsum(active, axis=0, out=interior)
-            np.cumsum(interior, axis=1, out=interior)
-            # The box's leading guard row/column and everything outside
-            # the box stay at the buffer's initial zeros (they are never
-            # written in cropped mode), which is their exact value.
-            return integral
-        active = np.greater(
-            self._cost_base, -self.patch_bound(), out=self._active_scratch
+        return get_backend().active_integral(
+            self._cost_base, self._field_box(), -self.patch_bound(),
+            self._active_integral,
         )
-        np.cumsum(active, axis=0, out=integral[1:, 1:])
-        np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
-        return integral
+
+    def _field_box(self) -> tuple[int, int, int, int]:
+        """Pixel box the per-iteration fields cover: crop box or grid."""
+        if self._crop is not None:
+            return self._crop
+        ny, nx = self._cost_base.shape
+        return (0, ny, 0, nx)
 
     @staticmethod
     def crop_to_active(
@@ -345,31 +332,19 @@ class RefinementState:
         in O(1) — edge pricing then only has to evaluate the candidate
         side.  Rebuild after every committed change (one per refinement
         iteration is enough; GreedyShotEdgeAdjustment does so itself).
+
+        The buffer (zero first row/column) is reused and only valid
+        until the next call.  Cost is exactly 0.0 outside a cropped
+        state's box (S = 0 there), so the prefix sums only cover the
+        box: entries above or left of it are exact zeros from the
+        buffer's init, and any lookup whose corner lands beyond the box
+        is clamped to the box edge (same value — nothing accumulates
+        past it).  Work per iteration scales with the seam-band bounding
+        box, not the grid.
         """
-        integral = self._cost_integral
-        if self._crop is not None:
-            # Cost is exactly 0.0 outside the crop box (S = 0 there), so
-            # the prefix sums only have to cover the box: entries above
-            # or left of it are exact zeros from the buffer's init, and
-            # any lookup whose corner lands beyond the box is clamped to
-            # the box edge (same value — nothing accumulates past it).
-            # Work per iteration scales with the seam-band bounding box,
-            # not the grid.
-            r0, r1, c0, c1 = self._crop
-            box = (slice(r0, r1), slice(c0, c1))
-            interior = integral[r0 + 1 : r1 + 1, c0 + 1 : c1 + 1]
-            cost_field = np.maximum(
-                self._cost_base[box], 0.0, out=self._field_scratch
-            )
-            np.cumsum(cost_field, axis=0, out=interior)
-            np.cumsum(interior, axis=1, out=interior)
-            return integral
-        cost_field = np.maximum(self._cost_base, 0.0, out=self._field_scratch)
-        # Reused buffer: zero first row/column, interior fully
-        # overwritten; only valid until the next call.
-        np.cumsum(cost_field, axis=0, out=integral[1:, 1:])
-        np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
-        return integral
+        return get_backend().cost_integral(
+            self._cost_base, self._field_box(), self._cost_integral
+        )
 
     def window_cost_from_integral(
         self, integral: np.ndarray, window: tuple[slice, slice]
@@ -707,173 +682,78 @@ class RefinementState:
         profile arguments of the sweep are concatenated and interpolated
         in a single LUT evaluation (via the profile cache), and each
         candidate's windowed Eq. 5 Δcost is then scored from cached
-        profiles.  When the kernel backend provides fused pricing, the
-        scoring itself runs as one gather/scatter clamped-sum kernel
-        over all candidates' contour bands
+        profiles.  When the kernel backend provides compiled pricing,
+        cropping, scoring and the old-cost lookup of the whole batch run
+        in one call
         (:meth:`~repro.kernels.backend.KernelBackend.clamped_band_sums`);
-        otherwise (the ``scalar`` backend) each candidate is scored by
-        the per-candidate loop.  Both are bit-identical to the scalar
-        path — the profiles, patches and window costs go through the
-        same elementwise operations and per-candidate pairwise sums.
+        otherwise (the ``scalar`` backend, or a compiled kernel that
+        could not be loaded) each candidate is scored by the
+        per-candidate loop.  Both are bit-identical to the scalar path —
+        the profiles, patches and window costs go through the same
+        elementwise operations and per-candidate pairwise sums.
         """
         backend = get_backend()
         if (
-            backend.fused_pricing
+            backend.compiled_pricing
             and cost_integral is not None
             and active_integral is not None
         ):
-            return self._price_edge_moves_fused(
+            return self._price_edge_moves_compiled(
                 candidates, cost_integral, active_integral, backend
             )
+        obs = get_recorder()
+        obs.incr("kernels.band_loop_batches")
+        if backend.pricing_fallback is not None:
+            obs.incr("kernels.compiled_fallback")
         return self._price_edge_moves_loop(
             candidates, cost_integral, active_integral
         )
 
-    def _price_edge_moves_fused(
+    def _price_edge_moves_compiled(
         self,
         candidates: list[EdgeMoveCandidate],
         cost_integral: np.ndarray,
         active_integral: np.ndarray,
         backend,
     ) -> np.ndarray:
-        """Batch scoring via the backend's fused clamped-sum kernel.
+        """Batch scoring via the backend's compiled clamped-sum kernel.
 
-        The per-candidate Python work shrinks to gathering geometry:
-        crop each window to its active sub-band and collect the two 1-D
-        profile factors whose outer product is the candidate's patch.
-        The entire elementwise Eq. 5 pipeline — patch, sign gather, base
-        gather, clamp — then runs once over one contiguous buffer
-        holding every candidate's contour band.
-
-        The gather/scatter layout pays per-element index arithmetic to
-        eliminate per-candidate call overhead, so it wins when the
-        cropped bands are thin (the seam-stitch/contour regime, where
-        the loop's ~6 NumPy calls per candidate dominate) and loses to
-        in-place slice scoring when bands are bulky.  The batch knows
-        its exact element count after cropping, so it picks per batch:
-        mean band size ≤ ``backend.fused_band_limit`` → fused kernel,
-        larger → in-place scoring of the already-gathered factors.
-        Both score with identical elementwise ops and per-candidate
-        pairwise sums, so the choice never changes a single bit.
+        The per-candidate Python work shrinks to gathering the two 1-D
+        profile factors whose outer product is the candidate's patch;
+        the kernel crops each window to its active sub-band, scores it
+        and subtracts the old cost.
         """
         imap = self.imap
         ncand = len(candidates)
         get_recorder().incr("intensity.edge_deltas", ncand)
-        costs = np.zeros(ncand, dtype=np.float64)
         if not ncand:
-            return costs
+            return np.zeros(0, dtype=np.float64)
         caching = imap.profile_cache_enabled
         if caching:
             imap.ensure_profiles(key for c in candidates for key in c.keys)
         delta_profile = imap.delta_profile
-        profile = imap.profile
-        # Per-candidate geometry of the cropped windows, plus the 1-D
-        # row/column factors, laid out candidate-major for the kernel.
-        rows = np.zeros(ncand, dtype=np.int64)
-        cols = np.zeros(ncand, dtype=np.int64)
-        y0s = np.zeros(ncand, dtype=np.int64)
-        x0s = np.zeros(ncand, dtype=np.int64)
-        wr0 = np.zeros(ncand, dtype=np.intp)
-        wr1 = np.zeros(ncand, dtype=np.intp)
-        wc0 = np.zeros(ncand, dtype=np.intp)
-        wc1 = np.zeros(ncand, dtype=np.intp)
-        kept: list[int] = []
+        fixed_profile = imap.cached_profile if caching else imap.profile
+        bounds: list[int] = []
         row_parts: list[np.ndarray] = []
         col_parts: list[np.ndarray] = []
-        for i, cand in enumerate(candidates):
-            _, edge, _, (ys, xs), (k_old, k_new, k_fixed) = cand
-            y_lo = ys.start
-            x_lo = xs.start
-            # crop_to_active, inlined (see _price_edge_moves_loop).
-            rowcum = (
-                active_integral[y_lo : ys.stop + 1, xs.stop]
-                - active_integral[y_lo : ys.stop + 1, x_lo]
-            )
-            if rowcum[-1] == rowcum[0]:
-                continue
-            r0 = int(rowcum.searchsorted(rowcum[0], side="right")) - 1
-            r1 = int(rowcum.searchsorted(rowcum[-1], side="left"))
-            colcum = (
-                active_integral[ys.stop, x_lo : xs.stop + 1]
-                - active_integral[y_lo, x_lo : xs.stop + 1]
-            )
-            c0 = int(colcum.searchsorted(colcum[0], side="right")) - 1
-            c1 = int(colcum.searchsorted(colcum[-1], side="left"))
+        for _, edge, _, (ys, xs), (k_old, k_new, k_fixed) in candidates:
+            bounds += (ys.start, ys.stop, xs.start, xs.stop)
             delta = delta_profile(k_old, k_new, caching)
-            p_fixed = profile(k_fixed) if not caching else imap.cached_profile(
-                k_fixed
-            )
-            if edge in ("left", "right"):
-                row_parts.append(p_fixed[r0:r1])
-                col_parts.append(delta[c0:c1])
+            if edge == "left" or edge == "right":
+                row_parts.append(fixed_profile(k_fixed))
+                col_parts.append(delta)
             else:
-                row_parts.append(delta[r0:r1])
-                col_parts.append(p_fixed[c0:c1])
-            kept.append(i)
-            rows[i] = r1 - r0
-            cols[i] = c1 - c0
-            y0s[i] = y_lo + r0
-            x0s[i] = x_lo + c0
-            wr0[i] = y_lo + r0
-            wr1[i] = y_lo + r1
-            wc0[i] = x_lo + c0
-            wc1[i] = x_lo + c1
-        counts = rows * cols
-        total = int(counts.sum())
-        limit = backend.fused_band_limit
-        if kept and (limit is None or total <= limit * len(kept)):
-            col_lens = cols[cols > 0]
-            col_off = np.zeros(ncand, dtype=np.int64)
-            col_off[cols > 0] = np.cumsum(col_lens) - col_lens
-            costs = backend.clamped_band_sums(
-                np.concatenate(row_parts),
-                np.concatenate(col_parts),
-                rows,
-                cols,
-                y0s,
-                x0s,
-                col_off,
-                self._cost_sign,
-                self._cost_base,
-            )
-        elif kept:
-            # Bulky bands: per-element index math would cost more than
-            # it saves — score each gathered factor pair in place, with
-            # the exact operation sequence of the scoring loop.
-            get_recorder().incr("kernels.band_loop_batches")
-            sign = self._cost_sign
-            base = self._cost_base
-            maximum = np.maximum
-            multiply = np.multiply
-            scratch = self._scratch
-            if scratch.size < int(counts.max()):
-                scratch = np.empty(int(counts.max()), dtype=np.float64)
-                self._scratch = scratch
-            for j, i in enumerate(kept):
-                r = int(rows[i])
-                c = int(cols[i])
-                seg = scratch[: r * c].reshape(r, c)
-                window = (
-                    slice(int(y0s[i]), int(y0s[i]) + r),
-                    slice(int(x0s[i]), int(x0s[i]) + c),
-                )
-                multiply(
-                    row_parts[j][:, None], col_parts[j][None, :], out=seg
-                )
-                seg *= sign[window]
-                seg += base[window]
-                maximum(seg, 0.0, out=seg)
-                costs[i] = seg.sum()
-        # Deferred old-cost lookup, same A − B − C + D order as
-        # window_cost_from_integral; all-zero corners (skipped
-        # candidates) contribute a zero old cost by construction.
-        costs -= (
-            cost_integral[wr1, wc1]
-            - cost_integral[wr0, wc1]
-            - cost_integral[wr1, wc0]
-            + cost_integral[wr0, wc0]
+                row_parts.append(delta)
+                col_parts.append(fixed_profile(k_fixed))
+        return backend.clamped_band_sums(
+            np.array(bounds, dtype=np.int64).reshape(ncand, 4),
+            np.concatenate(row_parts),
+            np.concatenate(col_parts),
+            self._cost_sign,
+            self._cost_base,
+            active_integral,
+            cost_integral,
         )
-        return costs
 
     def _price_edge_moves_loop(
         self,
@@ -883,9 +763,9 @@ class RefinementState:
     ) -> np.ndarray:
         """Per-candidate scoring loop (the pre-kernel batched engine).
 
-        Kept verbatim as the selectable oracle the fused kernel is gated
-        against, and as the fallback when pricing runs without the
-        prefix-sum integrals.
+        The oracle the compiled kernel is gated against, and the
+        fallback when pricing runs without the prefix-sum integrals or
+        without the compiled kernel.
         """
         imap = self.imap
         get_recorder().incr("intensity.edge_deltas", len(candidates))

@@ -1,11 +1,12 @@
 """repro.kernels — array-backend seam for the vectorized hot spots.
 
-The three kernels that dominate refine/stitch wall time (signed-clamp
-batch pricing, connected-component labeling, the per-iteration stitch
-cost field) dispatch through a process-global :class:`KernelBackend`
-selected here.  ``numpy`` (the vectorized default) and ``scalar`` (the
-original per-pixel/per-candidate oracle paths) ship with the repo; the
-gated ``cupy`` backend shows how an accelerator variant slots in.
+The kernels that dominate refine/stitch wall time (signed-clamp batch
+pricing and its prefix-sum fields, connected-component labeling, the
+per-iteration stitch cost field) dispatch through a process-global
+:class:`KernelBackend` selected here.  ``numpy`` (the default: NumPy
+labeling plus the compiled pricing kernel of
+:mod:`repro.kernels.compiled`) and ``scalar`` (the original
+per-pixel/per-candidate oracle paths) ship with the repo.
 
 Selection, in precedence order:
 
@@ -16,11 +17,13 @@ Selection, in precedence order:
 * the built-in default, ``numpy``.
 
 Backends register lazily: ``register_backend(name, factory)`` stores a
-zero-argument factory, so importing :mod:`repro.kernels` never imports
-cupy (or even the numpy backend module) until a backend is first used.
-The active backend and its kernel variants are recorded in run
-manifests via :func:`kernels_manifest` and surfaced as ``kernels.*``
-telemetry by the kernels themselves.
+zero-argument factory, so importing :mod:`repro.kernels` neither
+imports a backend module nor builds the compiled kernel until a
+backend is first used.  The active backend and its kernel variants —
+including whether pricing runs compiled or, with the reason, fell back
+to the loop — are recorded in run manifests via
+:func:`kernels_manifest` and surfaced as ``kernels.*`` telemetry by the
+kernels themselves.
 """
 
 from __future__ import annotations
@@ -140,12 +143,5 @@ def _scalar_factory() -> KernelBackend:
     return ScalarBackend()
 
 
-def _cupy_factory() -> KernelBackend:
-    from repro.kernels.cupy_backend import CupyBackend
-
-    return CupyBackend()
-
-
 register_backend("numpy", _numpy_factory)
 register_backend("scalar", _scalar_factory)
-register_backend("cupy", _cupy_factory)

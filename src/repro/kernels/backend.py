@@ -1,9 +1,9 @@
 """Array-backend contract for the vectorized hot-spot kernels.
 
-A :class:`KernelBackend` bundles the three kernels the profiles from the
-pricing/tiling PRs identified as the remaining wall time, behind one
-seam so alternative array stacks (CuPy, a future Cython build) can slot
-in without touching call sites:
+A :class:`KernelBackend` bundles the kernels the profiles of the
+pricing and tiling work identified as the remaining wall time, behind
+one seam so alternative implementations can slot in without touching call
+sites:
 
 ``label_components``
     Connected-component labeling of a boolean mask.  The contract is
@@ -18,14 +18,19 @@ in without touching call sites:
 
 ``clamped_band_sums``
     The signed-clamp Eq. 5 scoring of a whole batch of candidate edge
-    moves — the fused gather/scatter replacement for the per-candidate
-    Python loop of the batched pricing engine.  Per-candidate sums must
-    use NumPy's pairwise reduction over the candidate's contour band in
-    C order so results stay bit-identical to the scalar oracle.
+    moves: crop each window to its active sub-band, score the separable
+    patch, pairwise-sum it and subtract the window's current cost.  The
+    result must be bit-identical to the per-candidate loop of
+    ``RefinementState._price_edge_moves_loop``.
 
-Capability flags (``fused_pricing``, ``crop_stitch_field``) let a
-backend opt out of a kernel; call sites then fall back to the scalar
-path, which doubles as the oracle in equivalence tests.
+``cost_integral`` / ``active_integral``
+    The two per-iteration prefix-sum fields of the greedy pass, over the
+    full grid or the stitch crop box.  The base class implements them
+    with ``np.cumsum``; overrides must reproduce those bits.
+
+Capability flags (``compiled_pricing``, ``crop_stitch_field``) let a
+backend opt out of a kernel; call sites then fall back to the NumPy
+loop path, which doubles as the oracle in equivalence tests.
 """
 
 from __future__ import annotations
@@ -40,22 +45,20 @@ class BackendUnavailable(RuntimeError):
 
 
 class KernelBackend:
-    """Base class: capability flags + the three kernel entry points."""
+    """Base class: capability flags + the kernel entry points."""
 
     #: Registry name; subclasses override.
     name = "base"
     #: When True, ``RefinementState.price_edge_moves`` routes the batch
     #: through :meth:`clamped_band_sums` instead of the Python loop.
-    fused_pricing = False
+    compiled_pricing = False
+    #: Why a backend that prices through :meth:`clamped_band_sums` fell
+    #: back to the loop (``"no_compiler"``, ``"build_failed"``,
+    #: ``"selfcheck_mismatch"``); ``None`` when nothing fell back.
+    pricing_fallback: str | None = None
     #: When True, a region-restricted ``RefinementState`` crops its
     #: per-iteration cost/active fields to the active-mask bounding box.
     crop_stitch_field = False
-    #: Mean cropped band size (pixels per candidate) up to which the
-    #: fused gather/scatter kernel beats in-place slice scoring; batches
-    #: with bulkier bands are scored per candidate.  ``None`` means
-    #: always fuse (accelerator backends, where one kernel launch beats
-    #: any per-candidate loop regardless of band size).
-    fused_band_limit: int | None = 512
 
     def label_components(self, mask: np.ndarray) -> tuple[np.ndarray, int]:
         raise NotImplementedError
@@ -73,32 +76,63 @@ class KernelBackend:
 
     def clamped_band_sums(
         self,
+        windows: np.ndarray,
         row_vals: np.ndarray,
         col_vals: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        y0: np.ndarray,
-        x0: np.ndarray,
-        col_off: np.ndarray,
         sign: np.ndarray,
         base: np.ndarray,
+        active_integral: np.ndarray,
+        cost_integral: np.ndarray,
     ) -> np.ndarray:
-        """Batch Eq. 5 clamped scoring of separable contour bands.
+        """Batch Eq. 5 Δcost of separable edge-move candidates.
 
-        Candidate ``i`` covers the window ``rows[i] × cols[i]`` anchored
-        at pixel ``(y0[i], x0[i])``; its patch is the outer product of a
-        per-row factor slice (``rows[i]`` entries of ``row_vals``, laid
-        out candidate-major) and a per-column factor slice (``cols[i]``
-        entries of ``col_vals`` starting at ``col_off[i]``).  Returns
-        ``sum(max(sign*patch + base, 0))`` per candidate, bit-identical
-        to scoring each patch alone.
+        Candidate ``i`` covers the grid window ``windows[i] = (y0, y1,
+        x0, x1)``; its patch is the outer product of a row factor
+        (``y1 − y0`` entries of ``row_vals``) and a column factor
+        (``x1 − x0`` entries of ``col_vals``), both laid out
+        candidate-major.  The window is cropped to its active pixels
+        (``active_integral``), the patch scored as ``max(sign·patch +
+        base, 0)`` and summed, and the window's current cost (from
+        ``cost_integral``) subtracted — bit-identical to the
+        per-candidate pricing loop.
         """
         raise NotImplementedError
+
+    def cost_integral(
+        self, field: np.ndarray, box: tuple[int, int, int, int], out: np.ndarray
+    ) -> np.ndarray:
+        """Prefix sums of ``max(field, 0)`` over ``box`` into ``out``.
+
+        ``box`` is ``(r0, r1, c0, c1)`` in half-open pixel bounds; only
+        ``out[r0+1:r1+1, c0+1:c1+1]`` is written (the rest of the
+        ``(ny+1, nx+1)`` buffer keeps its zeros).
+        """
+        r0, r1, c0, c1 = box
+        interior = out[r0 + 1 : r1 + 1, c0 + 1 : c1 + 1]
+        np.cumsum(np.maximum(field[r0:r1, c0:c1], 0.0), axis=0, out=interior)
+        np.cumsum(interior, axis=1, out=interior)
+        return out
+
+    def active_integral(
+        self,
+        field: np.ndarray,
+        box: tuple[int, int, int, int],
+        threshold: float,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        """Prefix counts of ``field > threshold`` over ``box`` into
+        ``out`` (int32), laid out like :meth:`cost_integral`."""
+        r0, r1, c0, c1 = box
+        interior = out[r0 + 1 : r1 + 1, c0 + 1 : c1 + 1]
+        np.cumsum(field[r0:r1, c0:c1] > threshold, axis=0, out=interior)
+        np.cumsum(interior, axis=1, out=interior)
+        return out
 
     def describe(self) -> dict[str, Any]:
         """Kernel-variant record for manifests and telemetry."""
         return {
             "labeling": "none",
-            "pricing": "fused" if self.fused_pricing else "loop",
+            "pricing": "compiled" if self.compiled_pricing else "loop",
+            "pricing_fallback": self.pricing_fallback,
             "stitch_field": "cropped" if self.crop_stitch_field else "full",
         }

@@ -1,26 +1,25 @@
-"""Default vectorized kernel backend (NumPy + scipy.sparse run merge).
+"""Default kernel backend: NumPy labeling plus the compiled pricing kernel.
 
-Everything here is plain ``numpy`` index arithmetic over contiguous
-buffers — the layout a CuPy or Cython port can take verbatim.  The two
-exactness contracts that shape the implementation:
+Labeling is plain ``numpy`` index arithmetic with a ``scipy.sparse``
+run merge.  ``label_components`` must reproduce the raster union–find
+numbering bit-for-bit: runs are emitted in raster order, so the
+smallest run id in a component sits at the component's raster-first
+pixel; the final remap sorts components by that id, which is exactly
+the numbering the per-pixel oracle produces.
 
-* ``label_components`` must reproduce the raster union–find numbering
-  bit-for-bit.  Runs are emitted in raster order, so the smallest run
-  id in a component sits at the component's raster-first pixel; the
-  final remap sorts components by that id, which is exactly the
-  numbering the per-pixel oracle produces.
-* ``clamped_band_sums`` must produce per-candidate costs bit-identical
-  to scoring each candidate's band alone.  The elementwise pipeline
-  (outer product, sign gather, base gather, clamp) runs fused over the
-  whole batch, but each candidate's final reduction is a contiguous
-  C-order ``.sum()`` so NumPy's pairwise summation blocks match the
-  per-candidate oracle exactly.
+Pricing (``clamped_band_sums``) and the two prefix-sum fields run in
+the compiled kernel of :mod:`repro.kernels.compiled`, which reproduces
+the NumPy loop and ``np.cumsum`` bit for bit.  When the kernel cannot
+be built or fails its load-time self-check, ``compiled_pricing`` is False
+(the reason is in ``pricing_fallback``) and the call sites use those
+NumPy paths instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.kernels import compiled
 from repro.kernels.backend import KernelBackend
 from repro.obs import get_recorder
 
@@ -66,8 +65,24 @@ def _merge_run_graph_python(
 
 class NumpyBackend(KernelBackend):
     name = "numpy"
-    fused_pricing = True
     crop_stitch_field = True
+
+    def __init__(self) -> None:
+        self._loaded: tuple[compiled.PricingKernel | None, str | None] | None = None
+
+    def _kernel(self) -> compiled.PricingKernel | None:
+        if self._loaded is None:
+            self._loaded = compiled.kernel()
+        return self._loaded[0]
+
+    @property
+    def compiled_pricing(self) -> bool:
+        return self._kernel() is not None
+
+    @property
+    def pricing_fallback(self) -> str | None:
+        self._kernel()
+        return self._loaded[1]
 
     def label_components(self, mask: np.ndarray) -> tuple[np.ndarray, int]:
         mask = np.ascontiguousarray(mask, dtype=bool)
@@ -142,58 +157,94 @@ class NumpyBackend(KernelBackend):
 
     def clamped_band_sums(
         self,
+        windows: np.ndarray,
         row_vals: np.ndarray,
         col_vals: np.ndarray,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        y0: np.ndarray,
-        x0: np.ndarray,
-        col_off: np.ndarray,
         sign: np.ndarray,
         base: np.ndarray,
+        active_integral: np.ndarray,
+        cost_integral: np.ndarray,
     ) -> np.ndarray:
-        n_cand = rows.shape[0]
-        out = np.zeros(n_cand, dtype=np.float64)
-        if n_cand == 0 or row_vals.size == 0:
-            return out
-        nx = sign.shape[1]
-        # One block per (candidate, row); blocks are candidate-major so
-        # block b's row factor is simply row_vals[b].
-        block_len = np.repeat(cols, rows)
-        row_in_cand = np.arange(row_vals.size) - np.repeat(
-            np.cumsum(rows) - rows, rows
+        pk = self._kernel()
+        if pk is None:
+            raise RuntimeError(
+                f"compiled pricing kernel unavailable ({self.pricing_fallback})"
+            )
+        # The kernel walks raw buffers: check every window lies inside
+        # the grid and the factor buffers hold exactly one row (column)
+        # factor entry per window row (column).
+        windows = np.ascontiguousarray(windows, dtype=np.int64).reshape(-1, 4)
+        ny, nx = sign.shape
+        heights = windows[:, 1] - windows[:, 0]
+        widths = windows[:, 3] - windows[:, 2]
+        if windows.size and (
+            windows.min() < 0 or heights.min() < 0 or widths.min() < 0
+            or windows[:, 1].max() > ny or windows[:, 3].max() > nx
+        ):
+            raise ValueError("candidate window outside the grid")
+        if row_vals.size != heights.sum() or col_vals.size != widths.sum():
+            raise ValueError("profile factors do not match the windows")
+        if base.shape != (ny, nx) or active_integral.shape != (ny + 1, nx + 1) or (
+            cost_integral.shape != (ny + 1, nx + 1)
+        ):
+            raise ValueError("field and integral shapes disagree")
+        f64 = np.float64
+        costs = pk.price_bands(
+            windows,
+            np.ascontiguousarray(row_vals, dtype=f64),
+            np.ascontiguousarray(col_vals, dtype=f64),
+            np.ascontiguousarray(sign, dtype=f64),
+            np.ascontiguousarray(base, dtype=f64),
+            np.ascontiguousarray(active_integral, dtype=np.int32),
+            np.ascontiguousarray(cost_integral, dtype=f64),
         )
-        block_flat0 = (np.repeat(y0, rows) + row_in_cand) * nx + np.repeat(x0, rows)
-        block_col0 = np.repeat(col_off, rows)
-        # Per-element offsets within each block via a segmented arange.
-        total = int(block_len.sum())
-        within = np.arange(total) - np.repeat(
-            np.cumsum(block_len) - block_len, block_len
-        )
-        flat_idx = np.repeat(block_flat0, block_len) + within
-        col_idx = np.repeat(block_col0, block_len) + within
-        # Fused Eq. 5: patch = row⊗col, then sign-gather, base-gather,
-        # clamp — identical elementwise sequence to the per-candidate
-        # loop, over one contiguous buffer.
-        vals = np.repeat(row_vals, block_len)
-        vals *= col_vals[col_idx]
-        vals *= sign.ravel()[flat_idx]
-        vals += base.ravel()[flat_idx]
-        np.maximum(vals, 0.0, out=vals)
-        # Per-candidate pairwise sums over contiguous C-order slices:
-        # bit-identical to summing each candidate's (rows, cols) patch.
-        counts = rows * cols
-        seg = np.cumsum(counts) - counts
-        for i in range(n_cand):
-            out[i] = vals[seg[i] : seg[i] + counts[i]].sum()
         obs = get_recorder()
-        obs.incr("kernels.fused_batches")
-        obs.incr("kernels.fused_candidates", n_cand)
-        return out
+        obs.incr("kernels.compiled_batches")
+        obs.incr("kernels.compiled_candidates", windows.shape[0])
+        return costs
 
-    def describe(self) -> dict[str, str]:
+    def cost_integral(
+        self, field: np.ndarray, box: tuple[int, int, int, int], out: np.ndarray
+    ) -> np.ndarray:
+        pk = self._kernel()
+        if pk is None or not _fits(field, box, out, np.float64):
+            return super().cost_integral(field, box, out)
+        return pk.cost_integral(field, box, out)
+
+    def active_integral(
+        self,
+        field: np.ndarray,
+        box: tuple[int, int, int, int],
+        threshold: float,
+        out: np.ndarray,
+    ) -> np.ndarray:
+        pk = self._kernel()
+        if pk is None or not _fits(field, box, out, np.int32):
+            return super().active_integral(field, box, threshold, out)
+        return pk.active_integral(field, box, threshold, out)
+
+    def describe(self) -> dict[str, str | None]:
         return {
             "labeling": "run_length_row_merge",
-            "pricing": "fused_gather_scatter",
+            "pricing": "compiled" if self.compiled_pricing else "loop",
+            "pricing_fallback": self.pricing_fallback,
             "stitch_field": "bbox_cropped",
         }
+
+
+def _fits(
+    field: np.ndarray, box: tuple[int, int, int, int], out: np.ndarray, dtype
+) -> bool:
+    """True when the compiled prefix-sum routines can run on these
+    buffers in place: C-contiguous, expected dtypes, box inside the grid."""
+    ny, nx = field.shape
+    r0, r1, c0, c1 = box
+    return (
+        field.dtype == np.float64
+        and out.dtype == dtype
+        and field.flags.c_contiguous
+        and out.flags.c_contiguous
+        and out.shape == (ny + 1, nx + 1)
+        and 0 <= r0 <= r1 <= ny
+        and 0 <= c0 <= c1 <= nx
+    )

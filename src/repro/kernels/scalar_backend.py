@@ -1,9 +1,10 @@
 """Scalar oracle backend: the original pure-Python/per-label paths.
 
 Selecting ``--kernels scalar`` routes every hot spot through the code
-the vectorized kernels are gated against: the per-pixel raster
-union–find labeling, the per-label ``np.nonzero`` bounding-box scan,
-the per-candidate pricing loop, and the full-grid stitch cost field.
+the vectorized and compiled kernels are gated against: the per-pixel
+raster union–find labeling, the per-label ``np.nonzero`` bounding-box
+scan, the per-candidate pricing loop, the ``np.cumsum`` prefix sums and
+the full-grid stitch cost field.
 Equivalence tests run both backends and require identical results.
 """
 
@@ -16,7 +17,7 @@ from repro.kernels.backend import KernelBackend
 
 class ScalarBackend(KernelBackend):
     name = "scalar"
-    fused_pricing = False
+    compiled_pricing = False
     crop_stitch_field = False
 
     def label_components(self, mask: np.ndarray) -> tuple[np.ndarray, int]:
@@ -48,9 +49,10 @@ class ScalarBackend(KernelBackend):
             as_array(xmaxs),
         )
 
-    def describe(self) -> dict[str, str]:
+    def describe(self) -> dict[str, str | None]:
         return {
             "labeling": "python_union_find",
             "pricing": "loop",
+            "pricing_fallback": None,
             "stitch_field": "full",
         }

@@ -7,7 +7,6 @@ import pytest
 
 import repro.kernels as kernels
 from repro.kernels import (
-    BackendUnavailable,
     KernelBackend,
     available_backends,
     get_backend,
@@ -30,7 +29,7 @@ def _restore_active_backend():
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = available_backends()
-        assert {"numpy", "scalar", "cupy"} <= set(names)
+        assert {"numpy", "scalar"} <= set(names)
 
     def test_set_backend_by_name(self):
         backend = set_backend("scalar")
@@ -77,37 +76,42 @@ class TestRegistry:
             with kernels._LOCK:
                 kernels._REGISTRY.pop("dummy-test", None)
 
-    def test_cupy_gated_without_cupy(self):
-        try:
-            import cupy  # noqa: F401
-        except ImportError:
-            pass
-        else:  # pragma: no cover - env dependent
-            pytest.skip("cupy installed; gating path not reachable")
-        with pytest.raises(BackendUnavailable, match="cupy"):
-            set_backend("cupy")
-
 
 class TestCapabilities:
     def test_numpy_capabilities(self):
         backend = set_backend("numpy")
-        assert backend.fused_pricing and backend.crop_stitch_field
-        assert isinstance(backend.fused_band_limit, int)
-        assert backend.fused_band_limit > 0
+        assert backend.crop_stitch_field
+        # Compiled pricing unless the kernel fell back, with a reason.
+        assert backend.compiled_pricing == (backend.pricing_fallback is None)
+        assert backend.pricing_fallback in (
+            None, "no_compiler", "build_failed", "selfcheck_mismatch"
+        )
 
     def test_scalar_is_pure_oracle(self):
         backend = set_backend("scalar")
-        assert not backend.fused_pricing
+        assert not backend.compiled_pricing
+        assert backend.pricing_fallback is None
         assert not backend.crop_stitch_field
 
     def test_manifest_records_backend_and_variants(self):
         set_backend("numpy")
         manifest = kernels_manifest()
         assert manifest["backend"] == "numpy"
-        assert set(manifest["variants"]) == {"labeling", "pricing", "stitch_field"}
-        assert manifest["variants"]["labeling"] == "run_length_row_merge"
+        variants = manifest["variants"]
+        assert set(variants) == {
+            "labeling", "pricing", "pricing_fallback", "stitch_field"
+        }
+        assert variants["labeling"] == "run_length_row_merge"
+        assert variants["pricing"] == (
+            "loop" if variants["pricing_fallback"] else "compiled"
+        )
         set_backend("scalar")
-        assert kernels_manifest()["variants"]["labeling"] == "python_union_find"
+        assert kernels_manifest()["variants"] == {
+            "labeling": "python_union_find",
+            "pricing": "loop",
+            "pricing_fallback": None,
+            "stitch_field": "full",
+        }
 
 
 class TestComponentStats:
