@@ -11,9 +11,11 @@ seam:
   thin and a bulky band size, each run asserting bit-identity (the
   script exits non-zero on any differing bit);
 * ``stitch_crop`` — per-iteration cost-field work of a seam-band
-  restricted ``RefinementState`` with the bbox crop (numpy backend) vs
-  the full grid (scalar backend), on a long-bar layout whose seam is a
-  narrow strip, so the work scales with seam area, not grid area.
+  restricted ``RefinementState`` with the bbox crop (the default numpy
+  backend) vs the full grid (the :class:`KernelBackend` base class, which
+  opts out of the crop and prefix-sums with ``np.cumsum``), on a
+  long-bar layout whose seam is a narrow strip, so the work scales with
+  seam area, not grid area.
 
 Standalone by design (no pytest-benchmark): CI runs it non-gating and
 uploads the JSON artifact.
@@ -36,7 +38,7 @@ from repro.fracture.graph_color import approximate_fracture
 from repro.fracture.state import RefinementState
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.kernels import get_backend, set_backend, use_backend
+from repro.kernels import get_backend, use_backend
 from repro.kernels.backend import KernelBackend
 from repro.mask.constraints import FractureSpec
 from repro.mask.shape import MaskShape
@@ -70,33 +72,33 @@ def _labeling_masks(size: int, rng: np.random.Generator) -> dict[str, np.ndarray
 def bench_labeling(sizes: list[int], repeats: int) -> list[dict]:
     from repro.geometry.labeling import label_components_scalar
 
-    with use_backend("numpy") as backend:
-        rng = np.random.default_rng(20150607)
-        results = []
-        for size in sizes:
-            for kind, mask in _labeling_masks(size, rng).items():
-                backend.label_components(mask)  # warm-up (scipy import)
-                vec = _best_of(lambda: backend.label_components(mask), repeats)
-                scal = _best_of(lambda: label_components_scalar(mask), repeats)
-                labels_v, count_v = backend.label_components(mask)
-                labels_s, count_s = label_components_scalar(mask)
-                entry = {
-                    "size": size,
-                    "kind": kind,
-                    "components": int(count_v),
-                    "scalar_ms": scal * 1e3,
-                    "numpy_ms": vec * 1e3,
-                    "speedup": scal / vec if vec > 0 else None,
-                    "identical": bool(
-                        count_v == count_s and np.array_equal(labels_v, labels_s)
-                    ),
-                }
-                results.append(entry)
-                print(
-                    f"labeling {size}x{size} {kind}: {entry['speedup']:.2f}x "
-                    f"({entry['scalar_ms']:.1f}ms -> {entry['numpy_ms']:.1f}ms, "
-                    f"{count_v} components, identical={entry['identical']})"
-                )
+    backend = get_backend()
+    rng = np.random.default_rng(20150607)
+    results = []
+    for size in sizes:
+        for kind, mask in _labeling_masks(size, rng).items():
+            backend.label_components(mask)  # warm-up (scipy import)
+            vec = _best_of(lambda: backend.label_components(mask), repeats)
+            scal = _best_of(lambda: label_components_scalar(mask), repeats)
+            labels_v, count_v = backend.label_components(mask)
+            labels_s, count_s = label_components_scalar(mask)
+            entry = {
+                "size": size,
+                "kind": kind,
+                "components": int(count_v),
+                "scalar_ms": scal * 1e3,
+                "numpy_ms": vec * 1e3,
+                "speedup": scal / vec if vec > 0 else None,
+                "identical": bool(
+                    count_v == count_s and np.array_equal(labels_v, labels_s)
+                ),
+            }
+            results.append(entry)
+            print(
+                f"labeling {size}x{size} {kind}: {entry['speedup']:.2f}x "
+                f"({entry['scalar_ms']:.1f}ms -> {entry['numpy_ms']:.1f}ms, "
+                f"{count_v} components, identical={entry['identical']})"
+            )
     return results
 
 
@@ -151,7 +153,7 @@ def bench_pricing(repeats: int) -> list[dict]:
     cost_integral = oracle.cost_integral(
         base, box, np.zeros((grid + 1, grid + 1))
     )
-    backend = set_backend("numpy")
+    backend = get_backend()
     if not backend.compiled_pricing:
         raise SystemExit(
             f"compiled pricing kernel unavailable: {backend.pricing_fallback}"
@@ -228,12 +230,14 @@ def bench_stitch_crop(repeats: int, iters: int = 20) -> dict:
             state.cost_integral()
             state.active_integral()
 
-    walls = {}
-    for name in ("numpy", "scalar"):
-        with use_backend(name):
-            state = RefinementState(shape, spec, shots, active_mask=mask)
-            field_pass(state)  # warm-up
-            walls[name] = _best_of(lambda: field_pass(state), repeats)
+    def best_wall() -> float:
+        state = RefinementState(shape, spec, shots, active_mask=mask)
+        field_pass(state)  # warm-up
+        return _best_of(lambda: field_pass(state), repeats)
+
+    cropped = best_wall()
+    with use_backend(KernelBackend()):
+        full = best_wall()
     grid_px = int(mask.size)
     seam_px = int(np.count_nonzero(mask))
     rows = np.flatnonzero(mask.any(axis=1))
@@ -245,9 +249,9 @@ def bench_stitch_crop(repeats: int, iters: int = 20) -> dict:
         "bbox_px": bbox_px,
         "bbox_fraction": bbox_px / grid_px,
         "iterations": iters,
-        "full_ms": walls["scalar"] * 1e3,
-        "cropped_ms": walls["numpy"] * 1e3,
-        "speedup": walls["scalar"] / walls["numpy"],
+        "full_ms": full * 1e3,
+        "cropped_ms": cropped * 1e3,
+        "speedup": full / cropped,
     }
     print(
         f"stitch crop: {entry['speedup']:.2f}x per-iteration field work "
@@ -284,7 +288,7 @@ def run(repeats: int) -> dict:
     )
     return {
         "benchmark": "kernels",
-        "baseline": "scalar backend (pure-Python union-find, per-candidate "
+        "baseline": "oracle paths (pure-Python union-find, per-candidate "
                     "NumPy loop scoring, full-grid stitch fields)",
         "backend": get_backend().name,
         "repeats": repeats,

@@ -67,12 +67,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.fracture.base import Fracturer
-from repro.kernels import (
-    BackendUnavailable,
-    available_backends,
-    kernels_manifest,
-    set_backend,
-)
+from repro.kernels import kernels_manifest
 from repro.mask.constraints import FractureSpec
 from repro.mask.io import load_clips, save_clips, save_solution
 from repro.mask.shape import MaskShape
@@ -385,31 +380,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pitch", type=float, default=1.0, help="pixel size (nm)")
     parser.add_argument("--rho", type=float, default=0.5, help="print threshold")
     parser.add_argument("--lmin", type=float, default=10.0, help="min shot size (nm)")
-
-
-def _add_kernels_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernels", metavar="BACKEND",
-        help="array/kernel backend: 'numpy' (vectorized, compiled "
-             "pricing kernel; default), 'scalar' (pure-Python oracle "
-             "paths); overrides $REPRO_KERNELS",
-    )
-
-
-def _apply_kernels(args: argparse.Namespace) -> None:
-    """Install the ``--kernels`` backend before any kernel dispatch."""
-    name = getattr(args, "kernels", None)
-    if not name:
-        return
-    try:
-        set_backend(name)
-    except ValueError:
-        raise SystemExit(
-            f"unknown kernel backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        ) from None
-    except BackendUnavailable as error:
-        raise SystemExit(str(error)) from None
 
 
 def _add_telemetry_argument(parser: argparse.ArgumentParser) -> None:
@@ -1215,7 +1185,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hierarchy_arguments(p_fracture)
     _add_spec_arguments(p_fracture)
     _add_telemetry_argument(p_fracture)
-    _add_kernels_argument(p_fracture)
     p_fracture.set_defaults(func=_cmd_fracture)
 
     p_verify = sub.add_parser("verify", help="re-check a stored solution")
@@ -1233,7 +1202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--quiet", action="store_true")
     _add_spec_arguments(p_bench)
     _add_telemetry_argument(p_bench)
-    _add_kernels_argument(p_bench)
     p_bench.set_defaults(func=_cmd_bench)
 
     p_mdp = sub.add_parser("mdp", help="batch fracture a clip file")
@@ -1258,7 +1226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mdp.add_argument("--output", help="directory for solution JSON files")
     _add_spec_arguments(p_mdp)
     _add_telemetry_argument(p_mdp)
-    _add_kernels_argument(p_mdp)
     p_mdp.set_defaults(func=_cmd_mdp)
 
     p_trace = sub.add_parser("trace", help="inspect a telemetry file")
@@ -1449,7 +1416,6 @@ def build_parser() -> argparse.ArgumentParser:
              "this",
     )
     _add_cache_argument(p_serve)
-    _add_kernels_argument(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_job = sub.add_parser("job", help="talk to a running fracture daemon")
@@ -1544,7 +1510,6 @@ def main(argv: list[str] | None = None) -> int:
     # default silent) logging so progress lands on stderr.
     obs.enable_console_logging()
     args = build_parser().parse_args(argv)
-    _apply_kernels(args)
     return args.func(args)
 
 

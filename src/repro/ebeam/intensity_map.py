@@ -25,7 +25,6 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.ebeam.intensity import shot_intensity
 from repro.ebeam.lut import ErfLookupTable, default_lut
 from repro.geometry.raster import PixelGrid
 from repro.geometry.rect import Rect
@@ -34,7 +33,6 @@ from repro.obs import get_recorder
 # A profile-cache key: (axis, lo, hi, window start, window stop).
 ProfileKey = tuple[str, float, float, int, int]
 
-_PROFILE_CACHE_DEFAULT = True
 _PROFILE_CACHE_LIMIT = 20_000
 _DELTA_CACHE_LIMIT = 4096
 
@@ -134,28 +132,6 @@ def get_profile_bank() -> ProfileBank | None:
     return _PROFILE_BANK
 
 
-class profile_caching:
-    """Temporarily set the default for new maps: ``with profile_caching(False): ...``.
-
-    Used by the pricing benchmarks to time the uncached per-candidate
-    baseline without threading a flag through every constructor.
-    """
-
-    def __init__(self, enabled: bool):
-        self._enabled = bool(enabled)
-
-    def __enter__(self) -> "profile_caching":
-        global _PROFILE_CACHE_DEFAULT
-        self._previous = _PROFILE_CACHE_DEFAULT
-        _PROFILE_CACHE_DEFAULT = self._enabled
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        global _PROFILE_CACHE_DEFAULT
-        _PROFILE_CACHE_DEFAULT = self._previous
-        return False
-
-
 class IntensityMap:
     """Sum of shot intensities sampled at the pixel centres of ``grid``."""
 
@@ -169,7 +145,6 @@ class IntensityMap:
         "_y_centers",
         "_profile_cache",
         "_profile_cache_limit",
-        "_cache_profiles",
         "_delta_cache",
     )
 
@@ -179,8 +154,6 @@ class IntensityMap:
         sigma: float,
         lut: ErfLookupTable | None = None,
         reach_sigmas: float = 4.0,
-        profile_cache: bool | None = None,
-        profile_cache_limit: int = _PROFILE_CACHE_LIMIT,
     ):
         if sigma <= 0.0:
             raise ValueError("sigma must be positive")
@@ -191,12 +164,9 @@ class IntensityMap:
         self._total = np.zeros(grid.shape, dtype=np.float64)
         self._x_centers = grid.x_centers()
         self._y_centers = grid.y_centers()
-        self._profile_cache_limit = profile_cache_limit
-        self._cache_profiles = (
-            _PROFILE_CACHE_DEFAULT if profile_cache is None else profile_cache
-        )
+        self._profile_cache_limit = _PROFILE_CACHE_LIMIT
         bank = _PROFILE_BANK
-        if bank is not None and self._cache_profiles:
+        if bank is not None:
             # Adopt the process bank's shared cache for this geometry:
             # a rerun of the same layout starts fully warm.
             self._profile_cache = bank.cache_for(
@@ -212,10 +182,6 @@ class IntensityMap:
     def total(self) -> np.ndarray:
         """The full I_tot array (read-only view by convention)."""
         return self._total
-
-    @property
-    def profile_cache_enabled(self) -> bool:
-        return self._cache_profiles
 
     @property
     def profile_cache_size(self) -> int:
@@ -236,10 +202,6 @@ class IntensityMap:
         if window is None:
             window = self.window_of(shot)
         get_recorder().incr("intensity.patch_evals")
-        if not self._cache_profiles:
-            return window, shot_intensity(
-                shot, self.grid, self.sigma, window, self._lut
-            )
         fy = self.axis_profile("y", shot.ybl, shot.ytr, window[0])
         fx = self.axis_profile("x", shot.xbl, shot.xtr, window[1])
         return window, fy[:, None] * fx[None, :]
@@ -315,19 +277,13 @@ class IntensityMap:
             return cached
         return self.profile(key)
 
-    def delta_profile(
-        self, k_old: ProfileKey, k_new: ProfileKey, cache: bool = True
-    ) -> np.ndarray:
+    def delta_profile(self, k_old: ProfileKey, k_new: ProfileKey) -> np.ndarray:
         """Moved-axis difference profile ``profile(k_new) − profile(k_old)``.
 
-        Memoized when ``cache`` is true: the difference is a
-        deterministic function of two immutable cached profiles, so the
-        memo needs no invalidation — recomputing reproduces the exact
-        same bits.  The ``profile_caching(False)`` baseline passes
-        ``cache=False`` and must not retain anything.
+        Memoized: the difference is a deterministic function of two
+        immutable cached profiles, so the memo needs no invalidation —
+        recomputing reproduces the exact same bits.
         """
-        if not cache:
-            return self.profile(k_new) - self.profile(k_old)
         memo = self._delta_cache
         dkey = (k_old, k_new)
         delta = memo.get(dkey)
@@ -362,8 +318,6 @@ class IntensityMap:
         return profile
 
     def _store_profile(self, key: ProfileKey, profile: np.ndarray) -> None:
-        if not self._cache_profiles:
-            return
         cache = self._profile_cache
         if len(cache) >= self._profile_cache_limit:
             cache.clear()
@@ -398,7 +352,7 @@ class IntensityMap:
     ) -> tuple[slice, slice]:
         """Commit a single-edge move by adding its narrow-window delta.
 
-        The committed change is exactly the patch the pricing engines
+        The committed change is exactly the patch the pricing paths
         scored (same profiles, same window), so an accepted Δcost matches
         the realized cost change to fp precision — and the update touches
         a fraction of the pixels a union-window :meth:`replace` would.
@@ -468,55 +422,15 @@ class IntensityMap:
         Only one axis profile differs between ``old`` and ``new``, so the
         delta is one outer product of (changed-axis profile difference) ×
         (unchanged-axis profile) — the cheapest possible pricing of a
-        candidate edge move.  With the profile cache enabled the three
-        profiles are dictionary lookups on the hot path; the uncached
-        branch below is the original per-candidate evaluation, kept as
-        the benchmark baseline and bit-identical oracle.
+        candidate edge move.  The three profiles are profile-cache
+        lookups on the hot path.
         """
         window = self.edge_move_window(old, new, edge)
         get_recorder().incr("intensity.edge_deltas")
-        if self._cache_profiles:
-            k_old, k_new, k_fixed = self.edge_move_profile_keys(
-                old, new, edge, window
-            )
-            return window, self.outer_delta(
-                edge, self.profile(k_old), self.profile(k_new), self.profile(k_fixed)
-            )
-        ys = self.grid.y_centers()[window[0]]
-        xs = self.grid.x_centers()[window[1]]
-        # One batched LUT evaluation for all six erf arguments — the
-        # arrays here are tiny, so per-call overhead dominates otherwise.
-        if edge in ("left", "right"):
-            changed, fixed = xs, ys
-            c_lo_old, c_hi_old = old.xbl, old.xtr
-            c_lo_new, c_hi_new = new.xbl, new.xtr
-            f_lo, f_hi = old.ybl, old.ytr
-        else:
-            changed, fixed = ys, xs
-            c_lo_old, c_hi_old = old.ybl, old.ytr
-            c_lo_new, c_hi_new = new.ybl, new.ytr
-            f_lo, f_hi = old.xbl, old.xtr
-        n_c, n_f = len(changed), len(fixed)
-        args = np.empty(4 * n_c + 2 * n_f)
-        args[0:n_c] = changed - c_lo_old
-        args[n_c : 2 * n_c] = changed - c_hi_old
-        args[2 * n_c : 3 * n_c] = changed - c_lo_new
-        args[3 * n_c : 4 * n_c] = changed - c_hi_new
-        args[4 * n_c : 4 * n_c + n_f] = fixed - f_lo
-        args[4 * n_c + n_f :] = fixed - f_hi
-        args /= self.sigma
-        obs = get_recorder()
-        obs.incr("cache.lut.hits", len(args))
-        e = self._lut(args)
-        profile_old = 0.5 * (e[0:n_c] - e[n_c : 2 * n_c])
-        profile_new = 0.5 * (e[2 * n_c : 3 * n_c] - e[3 * n_c : 4 * n_c])
-        profile_fixed = 0.5 * (
-            e[4 * n_c : 4 * n_c + n_f] - e[4 * n_c + n_f : 4 * n_c + 2 * n_f]
+        k_old, k_new, k_fixed = self.edge_move_profile_keys(old, new, edge, window)
+        return window, self.outer_delta(
+            edge, self.profile(k_old), self.profile(k_new), self.profile(k_fixed)
         )
-        delta = profile_new - profile_old
-        if edge in ("left", "right"):
-            return window, np.outer(profile_fixed, delta)
-        return window, np.outer(delta, profile_fixed)
 
     def edge_move_window(self, old: Rect, new: Rect, edge: str) -> tuple[slice, slice]:
         """Window where a single-edge move changes the intensity.
@@ -556,6 +470,5 @@ class IntensityMap:
         # the clone can share them; only the dict itself is copied.
         clone._profile_cache = dict(self._profile_cache)
         clone._profile_cache_limit = self._profile_cache_limit
-        clone._cache_profiles = self._cache_profiles
         clone._delta_cache = dict(self._delta_cache)
         return clone

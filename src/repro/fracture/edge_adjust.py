@@ -6,19 +6,12 @@ move is accepted, no other edge within 2σ of the moved edge may move in
 the same iteration — the paper's anti-cycling rule (shot intensity is
 < 1e-6 beyond 2σ outside a shot, so farther edges are independent).
 
-Candidate pricing runs through one of two engines:
-
-* ``"batched"`` (default) — gather every candidate of the iteration,
-  fill the 1-D profile cache with a single LUT evaluation, and score all
-  windowed Eq. 5 Δcosts from cached profiles
-  (:meth:`RefinementState.price_edge_moves`).
-* ``"scalar"`` — a per-candidate
-  :meth:`RefinementState.edge_move_delta_cost` loop sharing the same
-  scorer and window cropping, kept as the bit-identical oracle.
-* ``"legacy"`` — the pre-engine pricing pass preserved verbatim
-  (boolean-masking window cost, full windows, failing-pixel-count
-  filter).  Combined with ``profile_caching(False)`` it reproduces the
-  code path this PR replaces; the benchmark measures against it.
+Candidate pricing gathers every candidate of the iteration, fills the
+1-D profile cache with a single LUT evaluation, and scores all windowed
+Eq. 5 Δcosts in one batch (:meth:`RefinementState.price_edge_moves`).
+The per-candidate :meth:`RefinementState.edge_move_delta_cost` it is
+gated against, and a whole-run scalar pricing loop, live in the tests
+as oracles.
 """
 
 from __future__ import annotations
@@ -29,39 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.fracture.state import RefinementState
-from repro.geometry.rect import EDGES, Rect
-from repro.mask.constraints import FailureReport
+from repro.geometry.rect import Rect
 from repro.obs import get_recorder
 
 _IMPROVEMENT_EPS = 1e-12
-
-_DEFAULT_ENGINE = "batched"
-
-
-def current_pricing_engine() -> str:
-    """The engine :func:`greedy_shot_edge_adjustment` will use by default."""
-    return _DEFAULT_ENGINE
-
-
-class pricing_engine:
-    """Temporarily select the default engine: ``with pricing_engine("scalar"):``."""
-
-    def __init__(self, engine: str):
-        if engine not in ("batched", "scalar", "legacy"):
-            raise ValueError(f"unknown pricing engine {engine!r}")
-        self._engine = engine
-
-    def __enter__(self) -> "pricing_engine":
-        global _DEFAULT_ENGINE
-        self._previous = _DEFAULT_ENGINE
-        _DEFAULT_ENGINE = self._engine
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        global _DEFAULT_ENGINE
-        _DEFAULT_ENGINE = self._previous
-        return False
-
 
 @dataclass(frozen=True, slots=True)
 class _Move:
@@ -128,12 +92,7 @@ def edge_segment(shot: Rect, edge: str) -> Rect:
     raise ValueError(f"unknown edge {edge!r}")
 
 
-def greedy_shot_edge_adjustment(
-    state: RefinementState,
-    report: FailureReport | None = None,
-    *,
-    engine: str | None = None,
-) -> int:
+def greedy_shot_edge_adjustment(state: RefinementState) -> int:
     """One §4.1 pass.  Returns the number of accepted edge moves.
 
     For each of the four edges of every shot, only the two moves ±Δp are
@@ -145,25 +104,13 @@ def greedy_shot_edge_adjustment(
     outright: a move can only *reduce* cost if its window already has
     positive cost (new cost ≥ 0, so Δcost < 0 needs old cost > 0).  The
     skip test reads the same cost integral that prices the old side of
-    every move, so both engines filter identically.
+    every move.
     """
-    if engine is None:
-        engine = _DEFAULT_ENGINE
     obs = get_recorder()
-    with obs.span("pricing", engine=engine):
-        if engine == "batched":
-            cost_integral = state.cost_integral()
-            active_integral = state.active_integral()
-            moves = _batched_improving_moves(state, cost_integral, active_integral)
-        elif engine == "scalar":
-            cost_integral = state.cost_integral()
-            active_integral = state.active_integral()
-            moves = _scalar_improving_moves(state, cost_integral, active_integral)
-        elif engine == "legacy":
-            cost_integral = state.cost_integral_legacy()
-            moves = _legacy_improving_moves(state, report, cost_integral)
-        else:
-            raise ValueError(f"unknown pricing engine {engine!r}")
+    with obs.span("pricing"):
+        cost_integral = state.cost_integral()
+        active_integral = state.active_integral()
+        moves = _batched_improving_moves(state, cost_integral, active_integral)
     moves.sort(key=lambda m: m.delta_cost)
 
     blocked_zones = BlockedZoneIndex()
@@ -186,16 +133,6 @@ def greedy_shot_edge_adjustment(
     return accepted
 
 
-def _edge_worth_pricing(
-    state: RefinementState,
-    shot: Rect,
-    edge: str,
-    cost_integral: np.ndarray,
-) -> bool:
-    window = state.edge_pricing_window(shot, edge)
-    return state.window_cost_from_integral(cost_integral, window) > 0.0
-
-
 def _batched_improving_moves(
     state: RefinementState,
     cost_integral: np.ndarray,
@@ -207,7 +144,7 @@ def _batched_improving_moves(
     costs = state.price_edge_moves(candidates, cost_integral, active_integral)
     # Best improving move per (shot, edge); candidates arrive in
     # (index, edge, +Δp, −Δp) order, and dicts preserve insertion order,
-    # so ties and final ordering match the scalar loop exactly.
+    # so ties and final ordering match a per-edge scalar loop exactly.
     best: dict[tuple[int, str], _Move] = {}
     for candidate, dcost in zip(candidates, costs):
         dcost = float(dcost)
@@ -218,110 +155,3 @@ def _batched_improving_moves(
         if incumbent is None or dcost < incumbent.delta_cost:
             best[key] = _Move(dcost, candidate.index, candidate.edge, candidate.delta)
     return list(best.values())
-
-
-def _scalar_improving_moves(
-    state: RefinementState,
-    cost_integral: np.ndarray,
-    active_integral: np.ndarray,
-) -> list[_Move]:
-    """The original per-candidate pricing loop (oracle / benchmark baseline)."""
-    pitch = state.spec.pitch
-    moves: list[_Move] = []
-    priced = 0
-    for index in range(len(state.shots)):
-        shot = state.shots[index]
-        for edge in EDGES:
-            if not _edge_worth_pricing(state, shot, edge, cost_integral):
-                continue
-            best: _Move | None = None
-            for delta in (pitch, -pitch):
-                dcost = state.edge_move_delta_cost(
-                    index, edge, delta, cost_integral, active_integral
-                )
-                if dcost is None:
-                    continue
-                priced += 1
-                if dcost >= -_IMPROVEMENT_EPS:
-                    continue
-                if best is None or dcost < best.delta_cost:
-                    best = _Move(dcost, index, edge, delta)
-            if best is not None:
-                moves.append(best)
-    get_recorder().incr("refine.candidates_priced", priced)
-    return moves
-
-
-def _legacy_improving_moves(
-    state: RefinementState,
-    report: FailureReport | None,
-    cost_integral: np.ndarray,
-) -> list[_Move]:
-    """The pre-engine pricing pass, preserved as the benchmark baseline.
-
-    Mirrors the original greedy loop exactly: a failing-pixel-count
-    filter built from the iteration's :class:`FailureReport`, then a
-    per-candidate :meth:`RefinementState.edge_move_delta_cost_legacy`
-    over full (uncropped) windows.
-    """
-    pitch = state.spec.pitch
-    fail_counts = _failing_integral(report) if report is not None else None
-    moves: list[_Move] = []
-    priced = 0
-    for index in range(len(state.shots)):
-        shot = state.shots[index]
-        for edge in EDGES:
-            if fail_counts is not None and not _window_has_failures(
-                state, shot, edge, pitch, fail_counts
-            ):
-                continue
-            best: _Move | None = None
-            for delta in (pitch, -pitch):
-                dcost = state.edge_move_delta_cost_legacy(
-                    index, edge, delta, cost_integral
-                )
-                if dcost is None:
-                    continue
-                priced += 1
-                if dcost >= -_IMPROVEMENT_EPS:
-                    continue
-                if best is None or dcost < best.delta_cost:
-                    best = _Move(dcost, index, edge, delta)
-            if best is not None:
-                moves.append(best)
-    get_recorder().incr("refine.candidates_priced", priced)
-    return moves
-
-
-def _failing_integral(report: FailureReport) -> np.ndarray:
-    """2-D prefix sums of the failing-pixel mask, for O(1) window counts."""
-    fail = report.fail_on | report.fail_off
-    counts = np.zeros((fail.shape[0] + 1, fail.shape[1] + 1), dtype=np.int64)
-    np.cumsum(fail, axis=0, out=counts[1:, 1:])
-    np.cumsum(counts[1:, 1:], axis=1, out=counts[1:, 1:])
-    return counts
-
-
-def _window_has_failures(
-    state: RefinementState,
-    shot: Rect,
-    edge: str,
-    pitch: float,
-    fail_counts: np.ndarray,
-) -> bool:
-    """True when either ±Δp move of this edge could touch a failing pixel."""
-    try:
-        grown = shot.moved_edge(edge, pitch if edge in ("right", "top") else -pitch)
-    except ValueError:
-        grown = shot
-    window = state.imap.edge_move_window(shot, grown, edge)
-    ys, xs = window
-    total = (
-        fail_counts[ys.stop, xs.stop]
-        - fail_counts[ys.start, xs.stop]
-        - fail_counts[ys.stop, xs.start]
-        + fail_counts[ys.start, xs.start]
-    )
-    return bool(total > 0)
-
-

@@ -2,94 +2,41 @@
 
 The kernels that dominate refine/stitch wall time (signed-clamp batch
 pricing and its prefix-sum fields, connected-component labeling, the
-per-iteration stitch cost field) dispatch through a process-global
-:class:`KernelBackend` selected here.  ``numpy`` (the default: NumPy
-labeling plus the compiled pricing kernel of
-:mod:`repro.kernels.compiled`) and ``scalar`` (the original
-per-pixel/per-candidate oracle paths) ship with the repo.
+per-iteration stitch cost field) dispatch through one process-global
+:class:`KernelBackend`: a :class:`~repro.kernels.numpy_backend.NumpyBackend`
+(NumPy labeling plus the compiled pricing kernel of
+:mod:`repro.kernels.compiled`), built lazily on first use so importing
+this package neither imports NumPy kernels nor compiles anything.
 
-Selection, in precedence order:
-
-* ``set_backend("scalar")`` / the ``use_backend("scalar")`` context
-  manager (tests, benchmarks);
-* the ``--kernels`` CLI flag (which calls :func:`set_backend`);
-* the ``REPRO_KERNELS`` environment variable;
-* the built-in default, ``numpy``.
-
-Backends register lazily: ``register_backend(name, factory)`` stores a
-zero-argument factory, so importing :mod:`repro.kernels` neither
-imports a backend module nor builds the compiled kernel until a
-backend is first used.  The active backend and its kernel variants —
-including whether pricing runs compiled or, with the reason, fell back
-to the loop — are recorded in run manifests via
-:func:`kernels_manifest` and surfaced as ``kernels.*`` telemetry by the
-kernels themselves.
+Whether pricing runs compiled or, without a working C compiler, falls
+back to the NumPy loop is decided by the platform, not by the user; the
+choice and its reason are recorded in run manifests via
+:func:`kernels_manifest` and surfaced as ``kernels.*`` telemetry.
+:func:`use_backend` scopes a different backend instance — the hook the
+equivalence tests use to run their oracle backend.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from typing import Any, Callable
+from typing import Any
 
-from repro.kernels.backend import BackendUnavailable, KernelBackend
+from repro.kernels.backend import KernelBackend
 
-__all__ = [
-    "BackendUnavailable",
-    "DEFAULT_BACKEND",
-    "KernelBackend",
-    "available_backends",
-    "get_backend",
-    "kernels_manifest",
-    "register_backend",
-    "set_backend",
-    "use_backend",
-]
+__all__ = ["KernelBackend", "get_backend", "kernels_manifest", "use_backend"]
 
-DEFAULT_BACKEND = "numpy"
-ENV_VAR = "REPRO_KERNELS"
-
-_REGISTRY: dict[str, Callable[[], KernelBackend]] = {}
 _LOCK = threading.Lock()
 _ACTIVE: KernelBackend | None = None
 
 
-def register_backend(name: str, factory: Callable[[], KernelBackend]) -> None:
-    """Register (or replace) a backend factory under ``name``."""
-    with _LOCK:
-        _REGISTRY[name] = factory
-
-
-def available_backends() -> list[str]:
-    """Registered backend names, sorted."""
-    with _LOCK:
-        return sorted(_REGISTRY)
-
-
-def _resolve(name: str) -> KernelBackend:
-    try:
-        with _LOCK:
-            factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel backend {name!r}; "
-            f"available: {', '.join(available_backends())}"
-        ) from None
-    backend = factory()
-    if not isinstance(backend, KernelBackend):
-        raise TypeError(
-            f"backend factory {name!r} returned {type(backend).__name__}, "
-            "expected a KernelBackend"
-        )
-    return backend
-
-
 def get_backend() -> KernelBackend:
-    """The active backend, resolving ``$REPRO_KERNELS`` on first use."""
+    """The active backend (a :class:`NumpyBackend` unless scoped)."""
     global _ACTIVE
     backend = _ACTIVE
     if backend is None:
-        backend = _resolve(os.environ.get(ENV_VAR, DEFAULT_BACKEND))
+        from repro.kernels.numpy_backend import NumpyBackend
+
+        backend = NumpyBackend()
         with _LOCK:
             if _ACTIVE is None:
                 _ACTIVE = backend
@@ -97,19 +44,11 @@ def get_backend() -> KernelBackend:
     return backend
 
 
-def set_backend(backend: str | KernelBackend) -> KernelBackend:
-    """Install ``backend`` (by name or instance) process-wide."""
-    global _ACTIVE
-    resolved = _resolve(backend) if isinstance(backend, str) else backend
-    with _LOCK:
-        _ACTIVE = resolved
-    return resolved
-
-
 class use_backend:
-    """Context manager scoping a backend selection (restores on exit)."""
+    """Context manager installing ``backend`` process-wide, restoring
+    the previous one on exit."""
 
-    def __init__(self, backend: str | KernelBackend) -> None:
+    def __init__(self, backend: KernelBackend) -> None:
         self._backend = backend
         self._saved: KernelBackend | None = None
 
@@ -117,7 +56,8 @@ class use_backend:
         global _ACTIVE
         with _LOCK:
             self._saved = _ACTIVE
-        return set_backend(self._backend)
+            _ACTIVE = self._backend
+        return self._backend
 
     def __exit__(self, *exc: Any) -> None:
         global _ACTIVE
@@ -129,19 +69,3 @@ def kernels_manifest() -> dict[str, Any]:
     """Manifest/telemetry record of the active backend and variants."""
     backend = get_backend()
     return {"backend": backend.name, "variants": backend.describe()}
-
-
-def _numpy_factory() -> KernelBackend:
-    from repro.kernels.numpy_backend import NumpyBackend
-
-    return NumpyBackend()
-
-
-def _scalar_factory() -> KernelBackend:
-    from repro.kernels.scalar_backend import ScalarBackend
-
-    return ScalarBackend()
-
-
-register_backend("numpy", _numpy_factory)
-register_backend("scalar", _scalar_factory)

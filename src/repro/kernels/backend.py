@@ -2,8 +2,8 @@
 
 A :class:`KernelBackend` bundles the kernels the profiles of the
 pricing and tiling work identified as the remaining wall time, behind
-one seam so alternative implementations can slot in without touching call
-sites:
+one seam so the equivalence tests can swap in their oracle
+implementation without touching call sites:
 
 ``label_components``
     Connected-component labeling of a boolean mask.  The contract is
@@ -30,7 +30,8 @@ sites:
 
 Capability flags (``compiled_pricing``, ``crop_stitch_field``) let a
 backend opt out of a kernel; call sites then fall back to the NumPy
-loop path, which doubles as the oracle in equivalence tests.
+loop path and the full-grid fields, which double as the oracles in the
+equivalence tests.  The base class itself opts out of both.
 """
 
 from __future__ import annotations
@@ -40,14 +41,10 @@ from typing import Any
 import numpy as np
 
 
-class BackendUnavailable(RuntimeError):
-    """The requested kernel backend cannot run in this environment."""
-
-
 class KernelBackend:
     """Base class: capability flags + the kernel entry points."""
 
-    #: Registry name; subclasses override.
+    #: Name recorded in manifests; subclasses override.
     name = "base"
     #: When True, ``RefinementState.price_edge_moves`` routes the batch
     #: through :meth:`clamped_band_sums` instead of the Python loop.

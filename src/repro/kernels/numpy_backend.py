@@ -18,49 +18,22 @@ NumPy paths instead.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from repro.kernels import compiled
 from repro.kernels.backend import KernelBackend
 from repro.obs import get_recorder
 
-try:  # scipy is a hard repo dependency (repro.ebeam), but stay graceful
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-except ImportError:  # pragma: no cover - scipy is a hard repo dep
-    coo_matrix = None
-    connected_components = None
-
 
 def _merge_run_graph(n_runs: int, edges_a: np.ndarray, edges_b: np.ndarray) -> np.ndarray:
     """Component id per run for the undirected run-overlap graph."""
-    if coo_matrix is None:  # pragma: no cover
-        return _merge_run_graph_python(n_runs, edges_a, edges_b)
     graph = coo_matrix(
         (np.ones(edges_a.size, dtype=np.int8), (edges_a, edges_b)),
         shape=(n_runs, n_runs),
     )
     _, comp = connected_components(graph, directed=False)
     return comp
-
-
-def _merge_run_graph_python(
-    n_runs: int, edges_a: np.ndarray, edges_b: np.ndarray
-) -> np.ndarray:  # pragma: no cover - exercised only without scipy
-    parent = list(range(n_runs))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in zip(edges_a.tolist(), edges_b.tolist()):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return np.array([find(i) for i in range(n_runs)], dtype=np.intp)
 
 
 class NumpyBackend(KernelBackend):

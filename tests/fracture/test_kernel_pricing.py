@@ -23,6 +23,7 @@ from repro.kernels.backend import KernelBackend
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.obs import TelemetryRecorder, recording
 from repro.obs.summarize import format_summary
+from tests.oracles import ScalarOracle
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -84,8 +85,8 @@ class TestFusedBitIdentity:
     def test_public_dispatch_identical_across_backends(self, priced_inputs):
         state, candidates, cost_integral, active_integral = priced_inputs
         prices = {}
-        for name in ("numpy", "scalar"):
-            with use_backend(name):
+        for name, backend in (("numpy", NumpyBackend()), ("scalar", ScalarOracle())):
+            with use_backend(backend):
                 prices[name] = state.price_edge_moves(
                     candidates, cost_integral, active_integral
                 )
@@ -93,7 +94,7 @@ class TestFusedBitIdentity:
 
     def test_fused_matches_scalar_oracle(self, priced_inputs):
         state, candidates, cost_integral, active_integral = priced_inputs
-        with use_backend("numpy"):
+        with use_backend(NumpyBackend()):
             priced = state.price_edge_moves(
                 candidates, cost_integral, active_integral
             )
@@ -196,7 +197,7 @@ class TestForcedFallback:
     def test_fallback_equals_loop(self, l_shape, spec, monkeypatch):
         initial, _ = approximate_fracture(l_shape, spec)
         params = RefineParams(nmax=8)
-        with use_backend("scalar"):
+        with use_backend(ScalarOracle()):
             expect, _ = refine(l_shape, spec, initial, params)
         monkeypatch.setattr(compiled, "kernel", lambda: (None, "build_failed"))
         fallback = NumpyBackend()
@@ -231,8 +232,8 @@ class TestEndToEndAcrossBackends:
         shape = request.getfixturevalue(fixture)
         initial, _ = approximate_fracture(shape, spec)
         results = {}
-        for name in ("numpy", "scalar"):
-            with use_backend(name):
+        for name, backend in (("numpy", NumpyBackend()), ("scalar", ScalarOracle())):
+            with use_backend(backend):
                 shots, trace = refine(
                     shape, spec, initial, RefineParams(nmax=8)
                 )

@@ -2,10 +2,11 @@
 
 A region-restricted ``RefinementState`` under the numpy backend keeps
 its per-iteration cost/active fields cropped to the active-mask
-bounding box; under the scalar backend it works on the full grid.  The
-signed weight is exactly zero outside the active mask, so everything
-observable — failure masks, candidate gathering, candidate prices, and
-the shots a stitch produces — must agree across the two layouts.  Cost
+bounding box; under the scalar oracle backend of ``tests/oracles.py``
+it works on the full grid.  The signed weight is exactly zero outside
+the active mask, so everything observable — failure masks, candidate
+gathering, candidate prices, and the shots a stitch produces — must
+agree across the two layouts.  Cost
 *sums* may differ in final ULPs (different pairwise-summation grouping
 over the same nonzero values), which is why the gate is at the
 shot/decision level with exact equality and at the scalar-cost level
@@ -27,7 +28,9 @@ from repro.fracture.windowed import WindowedFracturer
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.kernels import use_backend
+from repro.kernels.numpy_backend import NumpyBackend
 from repro.mask.shape import MaskShape
+from tests.oracles import ScalarOracle
 
 
 def _band_mask(shape, half_width: int = 6) -> np.ndarray:
@@ -42,9 +45,9 @@ def _band_mask(shape, half_width: int = 6) -> np.ndarray:
 def seam_states(l_shape, spec):
     shots, _ = approximate_fracture(l_shape, spec)
     mask = _band_mask(l_shape)
-    with use_backend("numpy"):
+    with use_backend(NumpyBackend()):
         cropped = RefinementState(l_shape, spec, shots, active_mask=mask)
-    with use_backend("scalar"):
+    with use_backend(ScalarOracle()):
         full = RefinementState(l_shape, spec, shots, active_mask=mask)
     return cropped, full
 
@@ -91,9 +94,9 @@ class TestCroppedStateMatchesFull:
         cands_f = full.gather_edge_moves(ci_f)
         key = lambda c: (c.index, c.edge, c.delta)
         assert [key(c) for c in cands_c] == [key(c) for c in cands_f]
-        with use_backend("numpy"):
+        with use_backend(NumpyBackend()):
             prices_c = cropped.price_edge_moves(cands_c, ci_c, ai_c)
-        with use_backend("scalar"):
+        with use_backend(ScalarOracle()):
             prices_f = full.price_edge_moves(cands_f, ci_f, ai_f)
         assert np.array_equal(prices_c, prices_f)
 
@@ -108,12 +111,12 @@ class TestWindowedStitchShotIdentity:
             polygon, pitch=spec.pitch, margin=spec.grid_margin, name="bar"
         )
         results = {}
-        for name in ("numpy", "scalar"):
+        for name, backend in (("numpy", NumpyBackend()), ("scalar", ScalarOracle())):
             inner = ModelBasedFracturer(
                 config=RefineConfig(params=RefineParams(nmax=6, nh=3))
             )
             windowed = WindowedFracturer(inner, window_nm=150.0)
-            with use_backend(name):
+            with use_backend(backend):
                 shots = windowed.fracture_shots(bar, spec)
             results[name] = [s.as_tuple() for s in shots]
         assert results["numpy"] == results["scalar"]

@@ -93,10 +93,12 @@ from hypothesis import strategies as st
 
 from repro.geometry.labeling import label_components_scalar
 from repro.kernels import use_backend
+from repro.kernels.numpy_backend import NumpyBackend
+from tests.oracles import ScalarOracle
 
 
 def _assert_labeling_identical(mask: np.ndarray) -> None:
-    with use_backend("numpy") as backend:
+    with use_backend(NumpyBackend()) as backend:
         labels_v, count_v = backend.label_components(mask)
     labels_s, count_s = label_components_scalar(mask)
     assert count_v == count_s
@@ -157,7 +159,7 @@ class TestBackendBitIdentity:
     def test_numbering_is_raster_order_of_first_pixels(self):
         rng = np.random.default_rng(2015)
         mask = rng.random((40, 40)) < 0.45
-        with use_backend("numpy"):
+        with use_backend(NumpyBackend()):
             labels, count = label_components(mask)
         firsts = [
             int(np.flatnonzero(labels.ravel() == lab)[0])
@@ -171,8 +173,8 @@ class TestBackendBitIdentity:
         grid = PixelGrid(0.0, 0.0, 1.0, 30, 35)
         labels, count = label_components_scalar(mask)
         results = {}
-        for name in ("numpy", "scalar"):
-            with use_backend(name):
+        for name, backend in (("numpy", NumpyBackend()), ("scalar", ScalarOracle())):
+            with use_backend(backend):
                 results[name] = [
                     (rect.as_tuple(), pixels)
                     for rect, pixels in bounding_boxes(labels, count, grid)

@@ -1,4 +1,4 @@
-"""The kernel-backend seam: registry, selection, capability contract."""
+"""The kernel-backend seam: default backend, scoping, capability contract."""
 
 from __future__ import annotations
 
@@ -6,20 +6,15 @@ import numpy as np
 import pytest
 
 import repro.kernels as kernels
-from repro.kernels import (
-    KernelBackend,
-    available_backends,
-    get_backend,
-    kernels_manifest,
-    register_backend,
-    set_backend,
-    use_backend,
-)
+from repro.kernels import get_backend, kernels_manifest, use_backend
+from repro.kernels.backend import KernelBackend
+from repro.kernels.numpy_backend import NumpyBackend
+from tests.oracles import ScalarOracle
 
 
 @pytest.fixture(autouse=True)
 def _restore_active_backend():
-    """Backend selection is process-global; never leak it across tests."""
+    """The active backend is process-global; never leak it across tests."""
     saved = kernels._ACTIVE
     yield
     with kernels._LOCK:
@@ -27,59 +22,26 @@ def _restore_active_backend():
 
 
 class TestRegistry:
-    def test_builtin_backends_registered(self):
-        names = available_backends()
-        assert {"numpy", "scalar"} <= set(names)
-
-    def test_set_backend_by_name(self):
-        backend = set_backend("scalar")
-        assert backend.name == "scalar"
-        assert get_backend() is backend
-
-    def test_set_backend_by_instance(self):
-        instance = set_backend("numpy")
-        assert set_backend(instance) is instance
-        assert get_backend() is instance
-
-    def test_unknown_backend_lists_available(self):
-        with pytest.raises(ValueError, match="scalar"):
-            set_backend("no-such-backend")
-
     def test_use_backend_restores_previous(self):
-        before = set_backend("numpy")
-        with use_backend("scalar") as scoped:
-            assert scoped.name == "scalar"
-            assert get_backend() is scoped
+        with kernels._LOCK:
+            kernels._ACTIVE = None
+        before = get_backend()
+        assert isinstance(before, NumpyBackend)
         assert get_backend() is before
-
-    def test_env_var_resolved_on_first_use(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "scalar")
-        with kernels._LOCK:
-            kernels._ACTIVE = None
-        assert get_backend().name == "scalar"
-
-    def test_default_without_env(self, monkeypatch):
-        monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-        with kernels._LOCK:
-            kernels._ACTIVE = None
-        assert get_backend().name == kernels.DEFAULT_BACKEND == "numpy"
-
-    def test_custom_backend_registration(self):
-        class Dummy(KernelBackend):
-            name = "dummy-test"
-
-        try:
-            register_backend("dummy-test", Dummy)
-            assert "dummy-test" in available_backends()
-            assert set_backend("dummy-test").name == "dummy-test"
-        finally:
-            with kernels._LOCK:
-                kernels._REGISTRY.pop("dummy-test", None)
+        oracle = ScalarOracle()
+        with use_backend(oracle) as scoped:
+            assert scoped is oracle
+            assert get_backend() is oracle
+            inner = KernelBackend()
+            with use_backend(inner):
+                assert get_backend() is inner
+            assert get_backend() is oracle
+        assert get_backend() is before
 
 
 class TestCapabilities:
     def test_numpy_capabilities(self):
-        backend = set_backend("numpy")
+        backend = NumpyBackend()
         assert backend.crop_stitch_field
         # Compiled pricing unless the kernel fell back, with a reason.
         assert backend.compiled_pricing == (backend.pricing_fallback is None)
@@ -88,14 +50,14 @@ class TestCapabilities:
         )
 
     def test_scalar_is_pure_oracle(self):
-        backend = set_backend("scalar")
+        backend = ScalarOracle()
         assert not backend.compiled_pricing
         assert backend.pricing_fallback is None
         assert not backend.crop_stitch_field
 
     def test_manifest_records_backend_and_variants(self):
-        set_backend("numpy")
-        manifest = kernels_manifest()
+        with use_backend(NumpyBackend()):
+            manifest = kernels_manifest()
         assert manifest["backend"] == "numpy"
         variants = manifest["variants"]
         assert set(variants) == {
@@ -105,39 +67,22 @@ class TestCapabilities:
         assert variants["pricing"] == (
             "loop" if variants["pricing_fallback"] else "compiled"
         )
-        set_backend("scalar")
-        assert kernels_manifest()["variants"] == {
-            "labeling": "python_union_find",
-            "pricing": "loop",
-            "pricing_fallback": None,
-            "stitch_field": "full",
-        }
+        with use_backend(ScalarOracle()):
+            assert kernels_manifest()["variants"] == {
+                "labeling": "python_union_find",
+                "pricing": "loop",
+                "pricing_fallback": None,
+                "stitch_field": "full",
+            }
 
 
 class TestComponentStats:
     def test_stats_match_across_backends(self):
         rng = np.random.default_rng(7)
         mask = rng.random((40, 50)) < 0.4
-        labels, count = set_backend("numpy").label_components(mask)
-        stats_n = get_backend().component_stats(labels, count)
-        stats_s = set_backend("scalar").component_stats(labels, count)
+        numpy_backend = NumpyBackend()
+        labels, count = numpy_backend.label_components(mask)
+        stats_n = numpy_backend.component_stats(labels, count)
+        stats_s = ScalarOracle().component_stats(labels, count)
         for a, b in zip(stats_n, stats_s):
             assert np.array_equal(a, b)
-
-
-class TestCliSelection:
-    def test_unknown_kernels_flag_is_a_clean_error(self):
-        import argparse
-
-        from repro.cli import _apply_kernels
-
-        with pytest.raises(SystemExit, match="available"):
-            _apply_kernels(argparse.Namespace(kernels="bogus"))
-
-    def test_kernels_flag_installs_backend(self):
-        import argparse
-
-        from repro.cli import _apply_kernels
-
-        _apply_kernels(argparse.Namespace(kernels="scalar"))
-        assert get_backend().name == "scalar"
