@@ -257,7 +257,8 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         "--checkpoint", metavar="DIR",
         help="journal completed tiles to DIR/<shape>.tiles.jsonl so an "
              "interrupted run can be resumed (mdp without --window-nm: "
-             "journal completed shapes to DIR/batch.index.jsonl instead)",
+             "journal completed shapes to DIR/batch.index.jsonl instead); "
+             "without --resume an existing journal is started over",
     )
     parser.add_argument(
         "--resume", action="store_true",

@@ -30,11 +30,7 @@ from repro.fracture.runtime import (
     PoolBroken,
     RetryPolicy,
     RuntimePolicy,
-    TileCrash,
-    TileError,
-    TileInfeasible,
     TileOutcome,
-    TileTimeout,
 )
 from repro.fracture.tiling import Tile, TilePlan, plan_tiles
 from repro.fracture.windowed import WindowedFracturer
@@ -56,12 +52,8 @@ __all__ = [
     "RuntimePolicy",
     "ShotCornerPoint",
     "Tile",
-    "TileCrash",
-    "TileError",
-    "TileInfeasible",
     "TileOutcome",
     "TilePlan",
-    "TileTimeout",
     "WindowedFracturer",
     "build_compatibility_graph",
     "extract_corner_points",

@@ -5,15 +5,14 @@ worker crash, hang or infeasible tile must not abort the run and lose
 every completed tile.  This module wraps the per-tile work of
 :class:`repro.fracture.windowed.WindowedFracturer` with:
 
-* an **error taxonomy** — :class:`TileCrash` (worker process died),
-  :class:`TileTimeout` (per-tile deadline exceeded),
-  :class:`TileInfeasible` (the tile computation raised) and
-  :class:`PoolBroken` (the pool could not be kept alive) — every error
-  carries the tile identity it belongs to;
+* **tile-identity-preserving result envelopes** — every attempt, in a
+  pool worker or in the parent, settles as ``("ok", tile, shots)`` or
+  ``("error", tile, kind, message)``; :class:`PoolBroken` means the
+  pool could not be kept alive;
 * **per-tile retry** with capped exponential backoff
   (:class:`RetryPolicy`) and **per-tile deadlines** enforced by
-  ``submit``-based scheduling with tile-identity-preserving result
-  envelopes (``pool.map``'s order/all-success assumption is gone);
+  ``submit``-based scheduling (``pool.map``'s order/all-success
+  assumption is gone);
 * **pool recovery** — a ``BrokenProcessPool`` respawns the pool,
   requeues the tiles that were in flight and *quarantines* the suspects
   to inline (in-parent) execution for their next attempt, so one
@@ -27,7 +26,8 @@ every completed tile.  This module wraps the per-tile work of
   every completed tile is appended (write + flush + fsync) as one JSON
   line, so an interrupted run resumed with ``--resume`` replays the
   completed tiles from disk bit-identically and re-executes only the
-  rest;
+  rest (the ``mdp`` batch journal is the same class, keyed by shape
+  fingerprint);
 * a **deterministic failure-injection hook** (:class:`FaultPlan`):
   crash / hang / raise on named tiles, armed per attempt, with a
   seeded random-subset constructor — usable from tests and the CLI
@@ -43,14 +43,12 @@ are explicitly flagged.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
 import shutil
 import tempfile
 import time
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -58,10 +56,11 @@ from typing import Any, Callable, Sequence
 from repro.geometry.rect import Rect
 from repro.mask.constraints import FractureSpec
 from repro.mask.shape import MaskShape
-from repro.obs import TelemetryRecorder, get_recorder, recording
+from repro.obs import NullRecorder, TelemetryRecorder, get_recorder, recording
 from repro.obs.resources import (
     HeartbeatMonitor,
     HeartbeatWriter,
+    atomic_write_text,
     ensure_disk_space,
 )
 
@@ -78,38 +77,14 @@ __all__ = [
     "RunInterrupted",
     "RunStats",
     "RuntimePolicy",
-    "TileCrash",
-    "TileError",
-    "TileInfeasible",
     "TileOutcome",
-    "TileTimeout",
     "fracture_tile",
     "partition_fallback",
     "run_tiles",
 ]
 
 
-# -- error taxonomy ----------------------------------------------------------
-
-
-class TileError(RuntimeError):
-    """Base of the per-tile error taxonomy; carries the tile identity."""
-
-    def __init__(self, tile_name: str, message: str):
-        super().__init__(f"tile {tile_name}: {message}")
-        self.tile_name = tile_name
-
-
-class TileCrash(TileError):
-    """The worker process executing the tile died (e.g. SIGKILL/OOM)."""
-
-
-class TileTimeout(TileError):
-    """The tile exceeded its per-tile deadline."""
-
-
-class TileInfeasible(TileError):
-    """The tile computation raised — the sub-problem could not be solved."""
+# -- errors ------------------------------------------------------------------
 
 
 class PoolBroken(RuntimeError):
@@ -275,9 +250,9 @@ class RuntimePolicy:
     (:mod:`repro.obs.resources`) on the pooled path: each worker
     publishes liveness/tile/RSS/CPU every ``heartbeat_s`` seconds and
     the parent folds the beats into ``windowed.*`` gauges, emitting
-    ``worker_stalled`` events for workers that stop beating
-    (``stall_after_s``, default 3 heartbeats) or sit on one tile
-    suspiciously long (half the tile deadline, when one is set).
+    ``worker_stalled`` events for workers that stop beating (3
+    heartbeats) or sit on one tile suspiciously long (half the tile
+    deadline, when one is set).
     ``None`` disables the channel entirely (zero overhead).
 
     ``stop_check`` is the graceful-shutdown hook: a zero-argument
@@ -293,7 +268,6 @@ class RuntimePolicy:
     checkpoint_dir: str | Path | None = None
     resume: bool = False
     heartbeat_s: float | None = None
-    stall_after_s: float | None = None
     stop_check: Callable[[], bool] | None = None
     #: Free-disk floor (bytes) enforced before every checkpoint append;
     #: ``None`` disables the guard.  Threaded from the service's
@@ -302,8 +276,9 @@ class RuntimePolicy:
     disk_floor_bytes: int | None = None
     #: Trace context dict (``{"trace_id", ...}``) correlating this run
     #: with its submitter; stamped on the checkpoint journal, every
-    #: worker heartbeat and every worker-side span.  ``None`` falls back
-    #: to the installed recorder's manifest trace (the executor path).
+    #: worker heartbeat and every worker-side span.  ``None`` makes
+    #: :class:`~repro.fracture.windowed.WindowedFracturer` fall back to
+    #: the installed recorder's manifest trace (the CLI/daemon path).
     trace: dict[str, Any] | None = None
 
 
@@ -352,15 +327,6 @@ class RunStats:
     tile_fallbacks: int = 0
     tiles_replayed: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "tile_retries": self.tile_retries,
-            "tile_timeouts": self.tile_timeouts,
-            "pool_respawns": self.pool_respawns,
-            "tile_fallbacks": self.tile_fallbacks,
-            "tiles_replayed": self.tiles_replayed,
-        }
-
 
 # -- checkpoint journal ------------------------------------------------------
 
@@ -370,14 +336,19 @@ class CheckpointMismatch(ValueError):
 
 
 class CheckpointJournal:
-    """Atomic per-tile JSONL checkpoint of one tiled run.
+    """Atomic JSONL checkpoint of completed work units.
 
-    Line 1 is a header carrying the *run key* (shape, spec, window size,
-    tile fingerprint); every further line is one completed tile with its
-    exact shot list.  Appends write one full line, flush and fsync, so a
-    crash mid-write loses at most the trailing partial line — which the
-    loader ignores.  JSON round-trips Python floats exactly, so replayed
-    tiles are bit-identical to their original execution.
+    Line 1 is a header carrying the *run key*; every further line is one
+    completed unit, ``{"kind": "tile", "tile": <key>, ...}`` whatever
+    the unit.  A tiled run journals one line per tile (keyed by tile
+    name, with its exact shot list) under a run key of shape, spec,
+    window size and tile layout; an ``mdp`` batch journals one line per
+    shape (keyed by its canonical fingerprint, with the result payload)
+    under a constant run key.  Appends write one full line, flush and
+    fsync, so a crash mid-write loses at most the trailing partial line
+    — which the loader drops, healing the file before the next append.
+    JSON round-trips Python floats exactly, so replayed units are
+    bit-identical to their original execution.
     """
 
     SCHEMA = "repro.checkpoint/v1"
@@ -397,10 +368,10 @@ class CheckpointJournal:
         #: so a full disk fails the run loudly instead of leaving a torn
         #: journal that a later ``--resume`` would silently truncate.
         self.min_free_bytes = min_free_bytes
-        #: Trace id stamped on the header and every tile line so the
-        #: journal joins the run's correlated trace.  Deliberately *not*
-        #: part of the run key: a resumed attempt carries the same
-        #: trace_id, but even a divergent one must never block replay.
+        #: Trace id stamped on the header and every line so the journal
+        #: joins the run's correlated trace.  Deliberately *not* part of
+        #: the run key: a resumed attempt carries the same trace_id, but
+        #: even a divergent one must never block replay.
         self.trace_id = trace_id
 
     @classmethod
@@ -427,27 +398,13 @@ class CheckpointJournal:
         if resume and journal.path.exists():
             journal._load()
         else:
-            journal._write_header()
+            journal._rewrite()
         return journal
-
-    def _header_line(self) -> dict[str, Any]:
-        header = {"kind": "header", "schema": self.SCHEMA, "run_key": self.run_key}
-        if self.trace_id:
-            header["trace_id"] = self.trace_id
-        return header
-
-    def _write_header(self) -> None:
-        ensure_disk_space(self.path.parent, self.min_free_bytes)
-        header = self._header_line()
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
 
     def _load(self) -> None:
         lines = self.path.read_text(encoding="utf-8").splitlines()
         if not lines:
-            self._write_header()
+            self._rewrite()
             return
         try:
             header = json.loads(lines[0])
@@ -457,14 +414,14 @@ class CheckpointJournal:
             # The header line itself is torn (crash before the first
             # fsync landed): a crash artifact, not a different run.
             # Quarantine the corpse for inspection and start fresh —
-            # every tile recomputes, bit-identically.
+            # every unit recomputes, bit-identically.
             try:
                 os.replace(
                     self.path, self.path.with_suffix(self.path.suffix + ".bad")
                 )
             except OSError:
                 pass
-            self._write_header()
+            self._rewrite()
             return
         if header.get("kind") != "header" or header.get("schema") != self.SCHEMA:
             raise CheckpointMismatch(f"{self.path}: not a {self.SCHEMA} journal")
@@ -486,43 +443,47 @@ class CheckpointJournal:
         if torn:
             # Heal before any append: a new record written after a torn
             # partial line would concatenate onto it, poisoning the
-            # *next* resume.  Rewrite header + settled tiles atomically.
+            # *next* resume.  Rewrite header + settled units atomically.
             self._rewrite()
 
     def _rewrite(self) -> None:
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        header = self._header_line()
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
-            for record in self.completed.values():
-                fh.write(json.dumps(record) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        """Atomically replace the file with header + completed units."""
+        ensure_disk_space(self.path.parent, self.min_free_bytes)
+        header = {"kind": "header", "schema": self.SCHEMA, "run_key": self.run_key}
+        if self.trace_id:
+            header["trace_id"] = self.trace_id
+        lines = [header, *self.completed.values()]
+        atomic_write_text(
+            self.path, "".join(json.dumps(line) + "\n" for line in lines)
+        )
 
-    def record(self, outcome: TileOutcome) -> None:
-        """Append one completed tile — atomically, then fsync.
+    def append(self, key: str, fields: dict[str, Any]) -> None:
+        """Append one completed unit under ``key`` — atomically, then fsync.
 
         Checked against the disk floor first: a full disk surfaces as a
         typed :class:`repro.obs.DiskFullError` with zero bytes written,
         never as a torn line.
         """
         ensure_disk_space(self.path.parent, self.min_free_bytes)
-        record = {
-            "kind": "tile",
-            "tile": outcome.tile_name,
-            "status": "fallback" if outcome.fallback else "ok",
-            "attempts": outcome.attempts,
-            "shots": [list(shot.as_tuple()) for shot in outcome.shots],
-        }
+        record = {"kind": "tile", "tile": key, **fields}
         if self.trace_id:
             record["trace_id"] = self.trace_id
-        if outcome.error:
-            record["error"] = outcome.error
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(record) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
+        self.completed[key] = record
+
+    def record(self, outcome: TileOutcome) -> None:
+        """Append one completed tile with its exact shot list."""
+        fields: dict[str, Any] = {
+            "status": "fallback" if outcome.fallback else "ok",
+            "attempts": outcome.attempts,
+            "shots": [list(shot.as_tuple()) for shot in outcome.shots],
+        }
+        if outcome.error:
+            fields["error"] = outcome.error
+        self.append(outcome.tile_name, fields)
 
     def replay(self, index: int, tile_name: str) -> TileOutcome | None:
         """Outcome of ``tile_name`` from the journal, or ``None``."""
@@ -539,12 +500,6 @@ class CheckpointJournal:
             replayed=True,
             error=record.get("error"),
         )
-
-
-def run_key_fingerprint(run_key: dict[str, Any]) -> str:
-    """Short stable digest of a run key (manifest/debug convenience)."""
-    blob = json.dumps(run_key, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 # -- tile work ---------------------------------------------------------------
@@ -578,7 +533,46 @@ def partition_fallback(
     return fracture_tile(PartitionFracturer(), tile, subs, spec)
 
 
-# -- worker side -------------------------------------------------------------
+# -- one attempt -------------------------------------------------------------
+
+
+def _attempt(
+    obs: Any,
+    inner: Any,
+    spec: FractureSpec,
+    fault_plan: FaultPlan | None,
+    tile: Any,
+    subs: list[MaskShape],
+    attempt: int,
+    inline: bool,
+) -> tuple:
+    """One attempt at one tile, in a pool worker or in the parent.
+
+    Fires the armed fault, fractures under a ``tile`` span on ``obs``
+    and returns a tile-identity-preserving envelope:
+    ``("ok", tile_name, shots)`` on success, ``("error", tile_name,
+    kind, message)`` when the attempt raised.  A hard crash of a pool
+    worker (injected or real) never returns — the parent sees
+    ``BrokenProcessPool``.
+    """
+    try:
+        if fault_plan is not None:
+            fault_plan.fire(tile.name, attempt, inline=inline)
+        with obs.span("tile", tile=tile.name, sub_shapes=len(subs)):
+            owned = fracture_tile(inner, tile, subs, spec)
+    except Exception as error:  # noqa: BLE001 — envelope, not policy
+        kind = (
+            "hang" if isinstance(error, InjectedHang)
+            else "crash" if isinstance(error, InjectedCrash)
+            else "error"
+        )
+        message = (
+            f"tile {tile.name} ({len(subs)} sub-shapes, attempt {attempt}): "
+            f"{type(error).__name__}: {error}"
+        )
+        return ("error", tile.name, kind, message)
+    return ("ok", tile.name, owned)
+
 
 _WORKER_CTX: tuple | None = None
 
@@ -588,9 +582,9 @@ def _worker_init(
     spec: FractureSpec,
     telemetry_enabled: bool,
     fault_plan: FaultPlan | None,
-    heartbeat_dir: str | None = None,
-    heartbeat_s: float = 1.0,
-    trace: dict[str, Any] | None = None,
+    heartbeat_dir: str | None,
+    heartbeat_s: float,
+    trace: dict[str, Any] | None,
 ) -> None:
     """Pool initializer: ship the inner fracturer once per worker process.
 
@@ -620,50 +614,30 @@ def _worker_init(
     _WORKER_CTX = (inner, spec, telemetry_enabled, fault_plan, heartbeat, trace)
 
 
-def _kind_of(error: BaseException) -> str:
-    if isinstance(error, InjectedHang):
-        return "hang"
-    if isinstance(error, InjectedCrash):
-        return "crash"
-    return "error"
-
-
 def _tile_task(tile: Any, subs: list[MaskShape], attempt: int) -> tuple:
-    """Worker entry point: returns a tile-identity-preserving envelope.
+    """Worker entry point: ``(envelope, telemetry | None, pid)``.
 
-    ``("ok", tile_name, shots, telemetry | None, meta)`` on success;
-    ``("error", tile_name, kind, message, meta)`` when the computation
-    raised (the pool stays healthy and the parent knows exactly which
-    tile and how many sub-shapes were involved).  ``meta`` carries the
-    worker pid so outcomes can be attributed to the heartbeat channel.
-    A hard crash (injected or real) never returns — the parent sees
-    ``BrokenProcessPool``.
+    The envelope comes from :func:`_attempt`; ``telemetry`` is the
+    worker-side recorder export of a successful attempt when the parent
+    records; the pid attributes the outcome to the heartbeat channel.
     """
     inner, spec, telemetry_enabled, fault_plan, heartbeat, trace = _WORKER_CTX
-    meta = {"pid": os.getpid()}
     if heartbeat is not None:
         # Mark the tile *before* any injected fault fires, so a crash or
         # hang leaves a heartbeat file attributing the stall to it.
         heartbeat.set_task(tile.name, attempt)
     try:
-        if fault_plan is not None:
-            fault_plan.fire(tile.name, attempt, inline=False)
-        if not telemetry_enabled:
-            owned = fracture_tile(inner, tile, subs, spec)
-            return ("ok", tile.name, owned, None, meta)
-        recorder = TelemetryRecorder(trace=trace)
-        with recording(recorder):
-            with recorder.span("tile", tile=tile.name, sub_shapes=len(subs)):
-                owned = fracture_tile(inner, tile, subs, spec)
-        return ("ok", tile.name, owned, recorder.export(), meta)
-    except Exception as error:  # noqa: BLE001 — envelope, not policy
-        message = (
-            f"tile {tile.name} ({len(subs)} sub-shapes, attempt {attempt}): "
-            f"{type(error).__name__}: {error}"
+        recorder = (
+            TelemetryRecorder(trace=trace) if telemetry_enabled
+            else NullRecorder()
         )
-        if not isinstance(error, InjectedFault):
-            message += "\n" + traceback.format_exc()
-        return ("error", tile.name, _kind_of(error), message, meta)
+        with recording(recorder):
+            envelope = _attempt(
+                recorder, inner, spec, fault_plan, tile, subs, attempt,
+                inline=False,
+            )
+        ship = telemetry_enabled and envelope[0] == "ok"
+        return envelope, recorder.export() if ship else None, os.getpid()
     finally:
         if heartbeat is not None:
             heartbeat.clear_task()
@@ -693,32 +667,18 @@ class _TileRunner:
         inner: Any,
         spec: FractureSpec,
         workers: int,
-        retry: RetryPolicy,
-        fault_plan: FaultPlan | None,
+        policy: RuntimePolicy,
         journal: CheckpointJournal | None,
-        telemetry_enabled: bool,
         fallback: Callable[[Any, list[MaskShape], FractureSpec], list[Rect]],
-        heartbeat_s: float | None = None,
-        stall_after_s: float | None = None,
-        stop_check: Callable[[], bool] | None = None,
-        trace: dict[str, Any] | None = None,
     ):
         self.jobs = jobs
         self.inner = inner
         self.spec = spec
         self.workers = workers
-        self.retry = retry
-        self.fault_plan = fault_plan
+        self.policy = policy
         self.journal = journal
-        self.telemetry_enabled = telemetry_enabled
         self.fallback = fallback
-        self.heartbeat_s = heartbeat_s
-        self.stall_after_s = stall_after_s
-        self.stop_check = stop_check
         self.obs = get_recorder()
-        # Fall back to the installed recorder's manifest trace so CLI
-        # runs that never touch RuntimePolicy.trace still correlate.
-        self.trace = trace or getattr(self.obs, "trace", None)
         self.stats = RunStats()
         self.outcomes: list[TileOutcome | None] = [None] * len(jobs)
         self.pending: list[_Pending] = []
@@ -740,13 +700,16 @@ class _TileRunner:
         )
         self._tile_wall_ewma: float | None = None
 
-    # -- progress -----------------------------------------------------------
+    # -- settlement ---------------------------------------------------------
 
-    def _note_progress(self, outcome: TileOutcome, wall_s: float | None) -> None:
-        """Fold one settled tile into the progress/ETA picture."""
+    def _complete(self, outcome: TileOutcome, wall_s: float) -> None:
+        """Record a settled tile and fold it into the progress/ETA picture."""
+        self.outcomes[outcome.index] = outcome
+        if self.journal is not None:
+            self.journal.record(outcome)
         self._done += 1
         self._shots_done += len(outcome.shots)
-        if wall_s is not None and wall_s > 0:
+        if wall_s > 0:
             # EWMA over per-tile wall time; alpha=0.2 smooths transient
             # slow tiles without hiding a sustained slowdown.
             if self._tile_wall_ewma is None:
@@ -756,60 +719,53 @@ class _TileRunner:
         total = len(self.jobs)
         elapsed = max(1e-9, time.monotonic() - self._t0)
         fresh = self._done - self._done_at_start
-        eta_s: float | None = None
-        if fresh > 0 and self._done < total:
-            # Throughput-based ETA: done/elapsed already folds worker
-            # parallelism in, unlike ewma * remaining.
-            eta_s = (total - self._done) / (fresh / elapsed)
-        self.obs.gauge("windowed.tiles_done", self._done)
-        self.obs.gauge("windowed.shots_done", self._shots_done)
-        if self._tile_wall_ewma is not None:
-            self.obs.gauge(
-                "windowed.tile_wall_ewma_s", round(self._tile_wall_ewma, 4)
-            )
         fields: dict[str, Any] = {
             "tiles_done": self._done,
             "tiles_total": total,
             "shots": self._shots_done,
         }
+        self.obs.gauge("windowed.tiles_done", self._done)
+        self.obs.gauge("windowed.shots_done", self._shots_done)
         if self._tile_wall_ewma is not None:
-            fields["tile_wall_ewma_s"] = round(self._tile_wall_ewma, 4)
-        if eta_s is not None:
-            fields["eta_s"] = round(eta_s, 2)
+            ewma = round(self._tile_wall_ewma, 4)
+            self.obs.gauge("windowed.tile_wall_ewma_s", ewma)
+            fields["tile_wall_ewma_s"] = ewma
+        if fresh > 0 and self._done < total:
+            # Throughput-based ETA: done/elapsed already folds worker
+            # parallelism in, unlike ewma * remaining.
+            fields["eta_s"] = round((total - self._done) / (fresh / elapsed), 2)
         self.obs.event("progress", **fields)
 
-    # -- settlement ---------------------------------------------------------
-
-    def _settle_ok(
+    def _settle(
         self,
         p: _Pending,
-        shots: list[Rect],
-        telemetry: dict | None,
+        envelope: tuple,
+        telemetry: dict | None = None,
         worker_pid: int | None = None,
     ) -> None:
+        """Complete the tile from an ``ok`` envelope, else retry or degrade."""
+        if envelope[0] != "ok":
+            self._settle_failure(p, envelope[2], envelope[3])
+            return
         outcome = TileOutcome(
             index=p.idx,
-            tile_name=self.jobs[p.idx][0].name,
+            tile_name=envelope[1],
             ok=True,
-            shots=shots,
+            shots=envelope[2],
             attempts=p.attempt,
             telemetry=telemetry,
             worker_pid=worker_pid,
         )
-        self.outcomes[p.idx] = outcome
-        if self.journal is not None:
-            self.journal.record(outcome)
         if p.attempt > 1:
             self.obs.event("tile_recovered", **outcome.to_record())
-        wall_s = time.monotonic() - p.started if p.started else None
-        self._note_progress(outcome, wall_s)
+        self._complete(outcome, time.monotonic() - p.started)
 
     def _settle_failure(self, p: _Pending, kind: str, message: str) -> None:
         """Retry with backoff, or engage the degradation ladder."""
         if kind == "hang":
             self.stats.tile_timeouts += 1
             self.obs.incr("windowed.tile_timeouts")
-        if p.attempt < self.retry.max_attempts:
+        if p.attempt < self.policy.retry.max_attempts:
             self.stats.tile_retries += 1
             self.obs.incr("windowed.tile_retries")
             self.obs.event(
@@ -824,14 +780,12 @@ class _TileRunner:
                 _Pending(
                     p.idx,
                     p.attempt + 1,
-                    time.monotonic() + self.retry.backoff(p.attempt),
+                    time.monotonic() + self.policy.retry.backoff(p.attempt),
                     inline=quarantine,
                 )
             )
             return
-        self._run_fallback(p, message)
-
-    def _run_fallback(self, p: _Pending, reason: str) -> None:
+        # Retries exhausted: the degradation ladder's terminal rung.
         tile, subs = self.jobs[p.idx]
         self.stats.tile_fallbacks += 1
         self.obs.incr("windowed.tile_fallbacks")
@@ -845,40 +799,19 @@ class _TileRunner:
             shots=shots,
             attempts=p.attempt,
             fallback=True,
-            error=reason.splitlines()[0],
+            error=message.splitlines()[0],
         )
-        self.outcomes[p.idx] = outcome
-        if self.journal is not None:
-            self.journal.record(outcome)
         self.obs.event("tile_fallback", **outcome.to_record())
-        self._note_progress(outcome, time.monotonic() - started)
+        self._complete(outcome, time.monotonic() - started)
 
     def _attempt_inline(self, p: _Pending) -> None:
         """One in-parent attempt (serial path or quarantined tile)."""
         tile, subs = self.jobs[p.idx]
         p.started = time.monotonic()
-        try:
-            if self.fault_plan is not None:
-                self.fault_plan.fire(tile.name, p.attempt, inline=True)
-            with self.obs.span("tile", tile=tile.name, sub_shapes=len(subs)):
-                owned = fracture_tile(self.inner, tile, subs, self.spec)
-        except Exception as error:  # noqa: BLE001 — taxonomy boundary
-            message = (
-                f"tile {tile.name} ({len(subs)} sub-shapes, attempt "
-                f"{p.attempt}): {type(error).__name__}: {error}"
-            )
-            self._settle_failure(p, _kind_of(error), message)
-            return
-        self._settle_ok(p, owned, telemetry=None)
-
-    def _settle_envelope(self, p: _Pending, envelope: tuple) -> None:
-        meta = envelope[4] if len(envelope) > 4 else {}
-        if envelope[0] == "ok":
-            shots, telemetry = envelope[2], envelope[3]
-            self._settle_ok(p, shots, telemetry, worker_pid=meta.get("pid"))
-        else:
-            kind, message = envelope[2], envelope[3]
-            self._settle_failure(p, kind, message)
+        self._settle(p, _attempt(
+            self.obs, self.inner, self.spec, self.policy.fault_plan,
+            tile, subs, p.attempt, inline=True,
+        ))
 
     # -- graceful shutdown --------------------------------------------------
 
@@ -888,7 +821,8 @@ class _TileRunner:
         Only called between settlements, so every completed tile is
         already journaled and no partial state escapes.
         """
-        if self.stop_check is not None and self.stop_check():
+        stop_check = self.policy.stop_check
+        if stop_check is not None and stop_check():
             self.obs.event(
                 "run_interrupted", done=self._done, total=len(self.jobs)
             )
@@ -911,24 +845,23 @@ class _TileRunner:
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
+        heartbeat_s = self.policy.heartbeat_s
+        deadline_s = self.policy.retry.tile_deadline_s
+        stop_check = self.policy.stop_check
         hb_dir: Path | None = None
         monitor: HeartbeatMonitor | None = None
-        if self.heartbeat_s is not None and self.heartbeat_s > 0:
+        if heartbeat_s is not None and heartbeat_s > 0:
             hb_dir = Path(tempfile.mkdtemp(prefix="repro-hb-"))
             # A hung worker's heartbeat *thread* keeps beating, so file
             # age alone cannot catch hangs; the slow-task check fires at
             # half the tile deadline — strictly before the deadline kill.
-            slow_task_after = (
-                0.5 * self.retry.tile_deadline_s
-                if self.retry.tile_deadline_s is not None
-                else None
-            )
             monitor = HeartbeatMonitor(
                 hb_dir,
                 self.obs,
-                interval_s=self.heartbeat_s,
-                stall_after_s=self.stall_after_s,
-                slow_task_after_s=slow_task_after,
+                interval_s=heartbeat_s,
+                slow_task_after_s=(
+                    0.5 * deadline_s if deadline_s is not None else None
+                ),
             )
 
         def spawn() -> ProcessPoolExecutor:
@@ -937,10 +870,10 @@ class _TileRunner:
                 initializer=_worker_init,
                 initargs=(
                     self.inner, self.spec,
-                    self.telemetry_enabled, self.fault_plan,
+                    self.obs.enabled, self.policy.fault_plan,
                     str(hb_dir) if hb_dir is not None else None,
-                    self.heartbeat_s if self.heartbeat_s else 1.0,
-                    self.trace,
+                    heartbeat_s if heartbeat_s else 1.0,
+                    self.policy.trace,
                 ),
             )
 
@@ -962,21 +895,33 @@ class _TileRunner:
         pool = spawn()
         if monitor is not None:
             monitor.start()
-        respawns = 0
-        inflight: dict[Any, tuple[_Pending, float]] = {}
+        inflight: dict[Any, _Pending] = {}
 
-        def respawn_pool(reason: str) -> ProcessPoolExecutor:
-            nonlocal respawns
-            respawns += 1
+        def respawn(reason: str) -> None:
+            nonlocal pool
             self.stats.pool_respawns += 1
+            respawns = self.stats.pool_respawns
             self.obs.incr("windowed.pool_respawns")
             self.obs.event("pool_respawn", reason=reason, respawns=respawns)
-            if respawns > self.retry.max_pool_respawns:
+            budget = self.policy.retry.max_pool_respawns
+            if respawns > budget:
                 raise PoolBroken(
                     f"process pool died {respawns} times "
-                    f"(budget {self.retry.max_pool_respawns}); giving up: {reason}"
+                    f"(budget {budget}); giving up: {reason}"
                 )
-            return spawn()
+            pool = spawn()
+
+        def pool_died(reason: str, casualties: list[_Pending]) -> None:
+            # Everything still in flight died with the pool; requeue it
+            # all — suspects are quarantined inline by the "crash"
+            # settlement path.
+            casualties.extend(inflight.values())
+            inflight.clear()
+            respawn(reason)
+            for p in casualties:
+                self._settle_failure(
+                    p, "crash", "worker process died (BrokenProcessPool)"
+                )
 
         try:
             while self.pending or inflight:
@@ -999,27 +944,19 @@ class _TileRunner:
                         later.append(p)
                 self.pending = later
                 broken: list[_Pending] = []
-                pool_is_broken = False
                 for p in submit:
                     tile, subs = self.jobs[p.idx]
                     try:
                         future = pool.submit(_tile_task, tile, subs, p.attempt)
                     except Exception:  # BrokenProcessPool / RuntimeError
-                        pool_is_broken = True
                         broken.append(p)
                         continue
                     p.started = time.monotonic()
-                    inflight[future] = (p, p.started)
+                    inflight[future] = p
                 for p in due_inline:
                     self._attempt_inline(p)
-                if pool_is_broken:
-                    broken.extend(p for p, _t in inflight.values())
-                    inflight.clear()
-                    pool = respawn_pool("submit failed: pool already broken")
-                    for p in broken:
-                        self._settle_failure(
-                            p, "crash", "worker process died (BrokenProcessPool)"
-                        )
+                if broken:
+                    pool_died("submit failed: pool already broken", broken)
                     continue
                 if not inflight:
                     if self.pending and next_eligible is not None:
@@ -1027,29 +964,26 @@ class _TileRunner:
                     continue
                 timeouts: list[float] = []
                 now = time.monotonic()
-                if self.retry.tile_deadline_s is not None:
-                    for _p, started in inflight.values():
-                        timeouts.append(
-                            started + self.retry.tile_deadline_s - now
-                        )
+                if deadline_s is not None:
+                    timeouts.extend(
+                        p.started + deadline_s - now for p in inflight.values()
+                    )
                 if next_eligible is not None:
                     timeouts.append(next_eligible - now)
                 timeout = max(0.0, min(timeouts)) if timeouts else None
-                if self.stop_check is not None:
+                if stop_check is not None:
                     # Poll the shutdown hook even while every worker is
                     # deep inside a long tile.
                     timeout = 0.2 if timeout is None else min(timeout, 0.2)
                 done, _not_done = wait(
                     set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
                 )
-                failed_with_pool: list[_Pending] = []
                 for future in done:
-                    p, _started = inflight.pop(future)
+                    p = inflight.pop(future)
                     try:
-                        envelope = future.result()
+                        envelope, telemetry, pid = future.result()
                     except BrokenProcessPool:
-                        pool_is_broken = True
-                        failed_with_pool.append(p)
+                        broken.append(p)
                         continue
                     except Exception as error:  # noqa: BLE001
                         self._settle_failure(
@@ -1058,44 +992,28 @@ class _TileRunner:
                             f"{type(error).__name__}: {error}",
                         )
                         continue
-                    self._settle_envelope(p, envelope)
-                if pool_is_broken:
-                    # Everything still in flight died with the pool;
-                    # requeue it all — suspects are quarantined inline by
-                    # the "crash" settlement path.
-                    failed_with_pool.extend(p for p, _t in inflight.values())
-                    inflight.clear()
-                    pool = respawn_pool("worker process died abruptly")
-                    for p in failed_with_pool:
-                        self._settle_failure(
-                            p, "crash", "worker process died (BrokenProcessPool)"
-                        )
+                    self._settle(p, envelope, telemetry, worker_pid=pid)
+                if broken:
+                    pool_died("worker process died abruptly", broken)
                     continue
-                if self.retry.tile_deadline_s is not None and inflight:
+                if deadline_s is not None and inflight:
                     now = time.monotonic()
-                    overdue = [
-                        future
-                        for future, (_p, started) in inflight.items()
-                        if now - started >= self.retry.tile_deadline_s
-                    ]
-                    if overdue:
+                    if any(now - p.started >= deadline_s for p in inflight.values()):
                         # A hung worker cannot be preempted individually:
                         # kill the pool, respawn, requeue the innocent
                         # in-flight tiles without penalty and charge the
                         # overdue ones a timeout.
-                        overdue_set = set(overdue)
-                        victims = list(inflight.items())
+                        victims = list(inflight.values())
                         inflight.clear()
                         kill(pool)
-                        pool = respawn_pool("tile deadline exceeded")
-                        for future, (p, started) in victims:
-                            if future in overdue_set:
+                        respawn("tile deadline exceeded")
+                        for p in victims:
+                            if now - p.started >= deadline_s:
                                 tile = self.jobs[p.idx][0]
                                 self._settle_failure(
                                     p, "hang",
                                     f"tile {tile.name} exceeded deadline "
-                                    f"{self.retry.tile_deadline_s:.3g}s "
-                                    f"(attempt {p.attempt})",
+                                    f"{deadline_s:.3g}s (attempt {p.attempt})",
                                 )
                             else:
                                 self.pending.append(
@@ -1103,7 +1021,7 @@ class _TileRunner:
                                 )
         finally:
             if monitor is not None:
-                monitor.stop(final_tick=False)
+                monitor.stop()
             if inflight:
                 kill(pool)  # hung/dead workers: do not wait on them
             else:
@@ -1133,18 +1051,17 @@ def run_tiles(
     inner: Any,
     spec: FractureSpec,
     workers: int = 1,
-    retry: RetryPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
+    policy: RuntimePolicy | None = None,
     journal: CheckpointJournal | None = None,
-    telemetry_enabled: bool = False,
     fallback: Callable[[Any, list[MaskShape], FractureSpec], list[Rect]]
     | None = None,
-    heartbeat_s: float | None = None,
-    stall_after_s: float | None = None,
-    stop_check: Callable[[], bool] | None = None,
-    trace: dict[str, Any] | None = None,
 ) -> tuple[list[TileOutcome], RunStats]:
     """Execute tile ``jobs`` fault-tolerantly; outcomes in job order.
+
+    ``policy`` supplies retries, deadlines, fault injection, heartbeats,
+    the shutdown hook and the trace context (its checkpoint fields are
+    the caller's: ``journal`` is the already-opened journal).  Worker
+    telemetry is collected when the installed recorder is enabled.
 
     The contract the tiled executor's determinism rests on: outcomes are
     returned (and their telemetry merged) in row-major job order no
@@ -1158,15 +1075,9 @@ def run_tiles(
         inner=inner,
         spec=spec,
         workers=workers,
-        retry=retry if retry is not None else RetryPolicy(),
-        fault_plan=fault_plan,
+        policy=policy if policy is not None else RuntimePolicy(),
         journal=journal,
-        telemetry_enabled=telemetry_enabled,
         fallback=fallback if fallback is not None else partition_fallback,
-        heartbeat_s=heartbeat_s,
-        stall_after_s=stall_after_s,
-        stop_check=stop_check,
-        trace=trace,
     )
     if workers == 1 or len(runner.pending) <= 1:
         runner.run_serial()

@@ -29,6 +29,7 @@ run resume bit-identically (``--checkpoint`` / ``--resume``).
 
 from __future__ import annotations
 
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,29 +178,25 @@ class WindowedFracturer(Fracturer):
         # The run's trace context: explicit policy wins, else whatever
         # the installed recorder's manifest carries (the CLI/daemon
         # paths both stamp it there).
-        trace = self.runtime.trace or getattr(obs, "trace", None)
+        policy = replace(
+            self.runtime, trace=self.runtime.trace or getattr(obs, "trace", None)
+        )
         journal = None
-        if self.runtime.checkpoint_dir is not None:
+        if policy.checkpoint_dir is not None:
             journal = CheckpointJournal.open(
-                Path(self.runtime.checkpoint_dir) / f"{shape.name}.tiles.jsonl",
+                Path(policy.checkpoint_dir) / f"{shape.name}.tiles.jsonl",
                 run_key=self._run_key(shape, spec, plan, jobs),
-                resume=self.runtime.resume,
-                min_free_bytes=self.runtime.disk_floor_bytes,
-                trace_id=(trace or {}).get("trace_id"),
+                resume=policy.resume,
+                min_free_bytes=policy.disk_floor_bytes,
+                trace_id=(policy.trace or {}).get("trace_id"),
             )
         outcomes, stats = run_tiles(
             jobs,
             inner=self.inner,
             spec=spec,
             workers=self.workers,
-            retry=self.runtime.retry,
-            fault_plan=self.runtime.fault_plan,
+            policy=policy,
             journal=journal,
-            telemetry_enabled=obs.enabled,
-            heartbeat_s=self.runtime.heartbeat_s,
-            stall_after_s=self.runtime.stall_after_s,
-            stop_check=self.runtime.stop_check,
-            trace=trace,
         )
         collected: list[Rect] = []
         for outcome in outcomes:
@@ -210,7 +207,7 @@ class WindowedFracturer(Fracturer):
             "tiles_used": len(jobs),
             "tile_sub_shapes": sum(len(subs) for _, subs in jobs),
             "fallback_tiles": fallback_tiles,
-            **stats.as_dict(),
+            **asdict(stats),
         }
         manifest = getattr(obs, "manifest", None)
         if manifest is not None:
@@ -221,7 +218,7 @@ class WindowedFracturer(Fracturer):
                 "fallback_tiles": fallback_tiles,
                 "retried": retried,
                 "replayed": [o.tile_name for o in outcomes if o.replayed],
-                **stats.as_dict(),
+                **asdict(stats),
             })
         return collected, info
 

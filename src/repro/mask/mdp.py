@@ -14,24 +14,24 @@ Two layers of work avoidance compose on top of the batch loop:
   canonical content hash and is served by exact shot translation; the
   pipeline consults it in the parent loop so parallel runs only ship
   cache *misses* to the worker pool;
-* a cross-shape **batch journal** (``journal=``/``resume=``) — a JSONL
-  index of finished shapes keyed by the same canonical fingerprint.
+* a cross-shape **batch journal** (``journal=``/``resume=``) — a
+  :class:`~repro.fracture.runtime.CheckpointJournal` with one line per
+  finished shape, keyed by the same canonical fingerprint.
   ``resume=True`` replays completed shapes from the journal and
   fractures only the remainder, so an interrupted ``mdp`` batch picks
   up where it stopped even for non-windowed methods (the windowed
-  per-tile checkpoints from PR 4 cover interruption *within* a shape;
-  the journal covers interruption *between* shapes).  Entries are
+  per-tile checkpoints cover interruption *within* a shape; the journal
+  covers interruption *between* shapes).  Entries are
   fingerprint-validated — a changed spec, method or clip geometry
-  silently invalidates the stale entry — and a torn final line (crash
-  mid-append) is ignored.
+  silently invalidates the stale entry — so the header's run key is a
+  constant; a fresh (non-resume) run truncates the journal.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.fracture.base import FractureResult, Fracturer
 from repro.fracture.cache import (
@@ -39,6 +39,7 @@ from repro.fracture.cache import (
     result_from_payload,
     result_to_payload,
 )
+from repro.fracture.runtime import CheckpointJournal
 from repro.mask.constraints import FractureSpec
 from repro.mask.cost import MaskCostModel
 from repro.mask.io import save_solution
@@ -48,68 +49,9 @@ from repro.obs import TelemetryRecorder, get_logger, get_recorder, recording
 logger = get_logger(__name__)
 
 
-class BatchJournal:
-    """Cross-shape resume index for an MDP batch run.
-
-    One JSON line per finished shape: the shape's canonical fingerprint
-    (geometry + spec + method + window — everything that could change
-    the shots) plus the full result payload.  Loading tolerates a torn
-    trailing line; replay only uses an entry whose fingerprint matches
-    the *current* request, so edited clips or parameter changes can
-    never replay stale shots.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._entries: dict[str, dict[str, Any]] = {}
-
-    @property
-    def entries(self) -> dict[str, dict[str, Any]]:
-        return self._entries
-
-    def load(self) -> int:
-        """Read the journal from disk; returns the usable entry count."""
-        self._entries = {}
-        try:
-            text = self.path.read_text()
-        except OSError:
-            return 0
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                # Torn tail from a crash mid-append: everything before
-                # it is intact (appends are line-atomic in practice and
-                # validated here regardless).
-                continue
-            if (
-                isinstance(record, dict)
-                and record.get("v") == 1
-                and "fingerprint" in record
-                and "payload" in record
-            ):
-                self._entries[record["fingerprint"]] = record["payload"]
-        return len(self._entries)
-
-    def get(self, fingerprint: str) -> dict[str, Any] | None:
-        return self._entries.get(fingerprint)
-
-    def append(
-        self, fingerprint: str, shape_name: str, payload: dict[str, Any]
-    ) -> None:
-        record = {
-            "v": 1,
-            "shape": shape_name,
-            "fingerprint": fingerprint,
-            "payload": payload,
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
-            fh.flush()
-        self._entries[fingerprint] = payload
+#: Run key of every batch journal: each entry validates itself by its
+#: fingerprint, so the header has nothing run-specific to check.
+_BATCH_RUN_KEY = {"journal": "mdp.batch"}
 
 
 @dataclass(slots=True)
@@ -187,19 +129,25 @@ class MdpPipeline:
 
         With a fracture cache on the fracturer, hits are served in the
         parent loop and only misses are dispatched.  ``journal`` points
-        at a cross-shape JSONL index (:class:`BatchJournal`): every
-        finished shape is appended, and ``resume=True`` replays
-        fingerprint-matching entries instead of re-fracturing.
+        at a cross-shape :class:`CheckpointJournal`: every finished
+        shape is appended, and ``resume=True`` replays
+        fingerprint-matching entries instead of re-fracturing; without
+        ``resume`` the journal starts over.
         """
         obs = get_recorder()
         report = MdpReport()
         out = Path(output_dir) if output_dir is not None else None
         if out is not None:
             out.mkdir(parents=True, exist_ok=True)
-        batch_journal = BatchJournal(journal) if journal is not None else None
-        if batch_journal is not None and resume:
-            replayable = batch_journal.load()
-            obs.event("mdp.journal_loaded", entries=replayable)
+        batch_journal = None
+        if journal is not None:
+            batch_journal = CheckpointJournal.open(
+                journal, _BATCH_RUN_KEY, resume=resume
+            )
+            if resume:
+                obs.event(
+                    "mdp.journal_loaded", entries=len(batch_journal.completed)
+                )
         cache = self.fracturer.cache
         need_fp = cache is not None or batch_journal is not None
         results: list[FractureResult | None] = [None] * len(shapes)
@@ -210,12 +158,13 @@ class MdpPipeline:
             for index, shape in enumerate(shapes):
                 if need_fp:
                     fingerprints[index] = self._fingerprint(shape)
-                if batch_journal is not None and resume:
+                if batch_journal is not None:
                     fingerprint, offset = fingerprints[index]
-                    payload = batch_journal.get(fingerprint)
-                    if payload is not None:
+                    entry = batch_journal.completed.get(fingerprint)
+                    if entry is not None:
                         results[index] = result_from_payload(
-                            payload, shape_name=shape.name, frame=offset
+                            entry["payload"], shape_name=shape.name,
+                            frame=offset,
                         )
                         results[index].extra["resumed"] = True
                         resumed += 1
@@ -246,8 +195,13 @@ class MdpPipeline:
                 payload = result_to_payload(result, frame=offset)
                 if cache is not None and not result.extra.get("cache_hit"):
                     cache.put(fingerprint, payload)
-                if batch_journal is not None and batch_journal.get(fingerprint) is None:
-                    batch_journal.append(fingerprint, shape.name, payload)
+                if (
+                    batch_journal is not None
+                    and fingerprint not in batch_journal.completed
+                ):
+                    batch_journal.append(
+                        fingerprint, {"shape": shape.name, "payload": payload}
+                    )
         if need_fp:
             stats = {
                 "shapes": len(shapes),

@@ -72,6 +72,7 @@ from repro.obs.resources import (
     DiskFullError,
     HeartbeatMonitor,
     HeartbeatWriter,
+    atomic_write_text,
     disk_free_bytes,
     ensure_disk_space,
     pid_alive,
@@ -112,6 +113,7 @@ __all__ = [
     "TelemetryRecorder",
     "TelemetryStream",
     "TraceContext",
+    "atomic_write_text",
     "chrome_from_payload",
     "chrome_from_records",
     "diff_payloads",

@@ -18,9 +18,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 from pathlib import Path
 from typing import Any, Iterator
+
+from repro.obs.resources import atomic_write_text
 
 __all__ = [
     "load_telemetry",
@@ -35,18 +36,6 @@ _CONVERGENCE_COLUMNS = (
 )
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` via tmp + fsync + rename so a crash mid-export can
-    never leave a torn file at ``path`` (the checkpoint-journal durability
-    contract, applied to the telemetry export)."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 def write_telemetry(payload: dict[str, Any], path: str | Path) -> Path:
     """Write ``payload`` (from ``TelemetryRecorder.export``) to ``path``."""
     path = Path(path)
@@ -55,11 +44,11 @@ def write_telemetry(payload: dict[str, Any], path: str | Path) -> Path:
     suffix = path.suffix.lower()
     if suffix == ".jsonl":
         lines = (json.dumps(record) for record in payload_to_records(payload))
-        _atomic_write_text(path, "\n".join(lines) + "\n")
+        atomic_write_text(path, "\n".join(lines) + "\n")
     elif suffix == ".csv":
-        _atomic_write_text(path, _convergence_csv(payload))
+        atomic_write_text(path, _convergence_csv(payload))
     else:
-        _atomic_write_text(
+        atomic_write_text(
             path, json.dumps(payload, indent=2, default=str) + "\n"
         )
     return path

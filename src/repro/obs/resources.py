@@ -37,6 +37,7 @@ __all__ = [
     "DiskFullError",
     "HeartbeatMonitor",
     "HeartbeatWriter",
+    "atomic_write_text",
     "disk_free_bytes",
     "ensure_disk_space",
     "pid_alive",
@@ -144,6 +145,21 @@ def ensure_disk_space(
         return
     if free - need_bytes < floor_bytes:
         raise DiskFullError(path, free, floor_bytes)
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` via ``<path>.tmp`` + fsync + rename.
+
+    A crash mid-write leaves either the old file or the new one at
+    ``path``, never a torn one.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def rss_bytes() -> int | None:
@@ -287,6 +303,35 @@ def read_heartbeats(directory: str | Path) -> list[dict[str, Any]]:
     return beats
 
 
+def _heartbeat_status(
+    hb: dict[str, Any],
+    now: float,
+    stall_after_s: float,
+    slow_task_after_s: float | None,
+) -> tuple[str, float, float | None]:
+    """Classify one beat: ``(status, beat age, current-task age)``.
+
+    ``no_heartbeat`` when the beat is older than ``stall_after_s``,
+    ``slow_task`` when it is fresh but its task has run longer than
+    ``slow_task_after_s``, else ``alive``.
+    """
+    age = max(0.0, now - float(hb.get("t", now)))
+    task_age = None
+    if hb.get("tile") is not None:
+        task_age = max(0.0, now - float(hb.get("task_started_t", now)))
+    if age > stall_after_s:
+        status = "no_heartbeat"
+    elif (
+        slow_task_after_s is not None
+        and task_age is not None
+        and task_age > slow_task_after_s
+    ):
+        status = "slow_task"
+    else:
+        status = "alive"
+    return status, age, task_age
+
+
 def summarize_heartbeats(
     directory: str | Path,
     *,
@@ -307,34 +352,15 @@ def summarize_heartbeats(
     """
     now = time.time() if now is None else now
     workers: list[dict[str, Any]] = []
-    alive = 0
-    stalled = 0
     for hb in read_heartbeats(directory):
-        age = max(0.0, now - float(hb.get("t", now)))
-        fresh = age <= stall_after_s
-        task = hb.get("tile")
-        task_age = None
-        if task is not None:
-            task_age = max(0.0, now - float(hb.get("task_started_t", now)))
-        if not fresh:
-            status = "no_heartbeat"
-        elif (
-            slow_task_after_s is not None
-            and task_age is not None
-            and task_age > slow_task_after_s
-        ):
-            status = "slow_task"
-        else:
-            status = "alive"
-        if status == "alive":
-            alive += 1
-        else:
-            stalled += 1
+        status, age, task_age = _heartbeat_status(
+            hb, now, stall_after_s, slow_task_after_s
+        )
         entry: dict[str, Any] = {
             "pid": hb.get("pid"),
             "status": status,
             "age_s": round(age, 3),
-            "task": task,
+            "task": hb.get("tile"),
             "rss_bytes": hb.get("rss_bytes"),
             "cpu_s": hb.get("cpu_s"),
         }
@@ -344,7 +370,8 @@ def summarize_heartbeats(
             if passthrough in hb:
                 entry[passthrough] = hb[passthrough]
         workers.append(entry)
-    return {"workers": workers, "alive": alive, "stalled": stalled}
+    alive = sum(1 for entry in workers if entry["status"] == "alive")
+    return {"workers": workers, "alive": alive, "stalled": len(workers) - alive}
 
 
 class HeartbeatMonitor:
@@ -375,7 +402,6 @@ class HeartbeatMonitor:
         interval_s: float = 1.0,
         stall_after_s: float | None = None,
         slow_task_after_s: float | None = None,
-        heartbeat_events: bool = True,
     ):
         self.directory = Path(directory)
         self.recorder = recorder
@@ -388,7 +414,6 @@ class HeartbeatMonitor:
             if slow_task_after_s is not None
             else 10.0 * self.interval_s
         )
-        self.heartbeat_events = heartbeat_events
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
         self._stalled: dict[int, str] = {}  # pid -> stall kind
@@ -403,33 +428,25 @@ class HeartbeatMonitor:
         cpu_total = 0.0
         for hb in read_heartbeats(self.directory):
             pid = hb.get("pid")
-            age = max(0.0, now - float(hb.get("t", now)))
-            fresh = age <= self.stall_after_s
-            task_age = None
-            if hb.get("tile") is not None:
-                task_age = max(0.0, now - float(hb.get("task_started_t", now)))
-            if fresh:
+            kind, age, task_age = _heartbeat_status(
+                hb, now, self.stall_after_s, self.slow_task_after_s
+            )
+            if kind != "no_heartbeat":
                 alive += 1
                 cpu_total += float(hb.get("cpu_s") or 0.0)
                 rss = hb.get("rss_bytes")
                 if isinstance(rss, (int, float)):
                     self._rss_peak = max(self._rss_peak, int(rss))
-                if self.heartbeat_events:
-                    rec.event(
-                        "worker_heartbeat",
-                        pid=pid,
-                        tile=hb.get("tile"),
-                        attempt=hb.get("attempt"),
-                        rss_bytes=hb.get("rss_bytes"),
-                        cpu_s=hb.get("cpu_s"),
-                        age_s=round(age, 3),
-                    )
-            kind = None
-            if not fresh:
-                kind = "no_heartbeat"
-            elif task_age is not None and task_age > self.slow_task_after_s:
-                kind = "slow_task"
-            if kind is None:
+                rec.event(
+                    "worker_heartbeat",
+                    pid=pid,
+                    tile=hb.get("tile"),
+                    attempt=hb.get("attempt"),
+                    rss_bytes=hb.get("rss_bytes"),
+                    cpu_s=hb.get("cpu_s"),
+                    age_s=round(age, 3),
+                )
+            if kind == "alive":
                 self._stalled.pop(pid, None)
                 continue
             if self._stalled.get(pid) == kind:
@@ -470,12 +487,7 @@ class HeartbeatMonitor:
             except Exception:  # pragma: no cover — monitoring must not kill runs
                 pass
 
-    def stop(self, final_tick: bool = True) -> None:
+    def stop(self) -> None:
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=2.0)
-        if final_tick:
-            try:
-                self.tick()
-            except Exception:  # pragma: no cover — same contract as _run
-                pass

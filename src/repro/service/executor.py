@@ -26,7 +26,6 @@ them onto the job state machine without string matching.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from typing import Any
@@ -49,6 +48,7 @@ from repro.obs import (
     HeartbeatWriter,
     TelemetryRecorder,
     TelemetryStream,
+    atomic_write_text,
     ensure_disk_space,
     thread_recording,
 )
@@ -149,15 +149,6 @@ def _make_runner(
     )
 
 
-def _atomic_write_json(path, payload: dict[str, Any]) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 def execute_job(
     record: JobRecord,
     paths: JobPaths,
@@ -231,7 +222,9 @@ def execute_job(
             stream.detach()
         else:
             stream.close(status)
-        _atomic_write_json(paths.telemetry_json, recorder.export())
+        atomic_write_text(
+            paths.telemetry_json, json.dumps(recorder.export(), indent=1)
+        )
 
 
 def _run_clips(
@@ -358,5 +351,5 @@ def _run_clips(
     # DiskFullError propagates as a typed job failure and the atomic
     # tmp+replace below never leaves a torn result.json behind.
     ensure_disk_space(paths.root, control.disk_floor_bytes)
-    _atomic_write_json(paths.result_json, payload)
+    atomic_write_text(paths.result_json, json.dumps(payload, indent=1))
     return payload

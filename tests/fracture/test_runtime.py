@@ -6,6 +6,7 @@ logic is exercised without real fracturing.
 """
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -18,11 +19,8 @@ from repro.fracture.runtime import (
     InjectedFault,
     InjectedHang,
     RetryPolicy,
-    TileCrash,
-    TileError,
-    TileInfeasible,
+    RuntimePolicy,
     TileOutcome,
-    TileTimeout,
     run_tiles,
 )
 from repro.geometry.rect import Rect
@@ -60,6 +58,10 @@ def _fast_retry(**overrides) -> RetryPolicy:
     return RetryPolicy(**defaults)
 
 
+def _policy(retry: RetryPolicy | None = None, **fields) -> RuntimePolicy:
+    return RuntimePolicy(retry=retry or _fast_retry(), **fields)
+
+
 def _stub_fallback(tile, subs, spec):
     return [Rect(1.0, 1.0, 2.0, 2.0)]
 
@@ -74,15 +76,6 @@ class TestRetryPolicy:
         assert policy.backoff(2) == pytest.approx(0.2)
         assert policy.backoff(3) == pytest.approx(0.3)  # capped
         assert policy.backoff(10) == pytest.approx(0.3)
-
-
-class TestErrorTaxonomy:
-    def test_tile_errors_carry_identity(self):
-        for cls in (TileCrash, TileTimeout, TileInfeasible):
-            error = cls("t3,7", "boom")
-            assert isinstance(error, TileError)
-            assert error.tile_name == "t3,7"
-            assert "t3,7" in str(error)
 
 
 class TestFaultPlan:
@@ -143,6 +136,18 @@ class TestCheckpointJournal:
         assert replayed.attempts == 2
         assert resumed.replay(1, "t1,0") is None
 
+    def test_append_round_trips_fields(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = CheckpointJournal.open(path, self.RUN_KEY)
+        journal.append("fp-1", {"payload": {"shots": [], "shot_count": 0}})
+        journal.append("fp-2", {"payload": {"shots": [], "shot_count": 2}})
+        assert set(journal.completed) == {"fp-1", "fp-2"}
+        resumed = CheckpointJournal.open(path, self.RUN_KEY, resume=True)
+        assert resumed.completed["fp-2"]["payload"] == {
+            "shots": [], "shot_count": 2,
+        }
+        assert "fp-3" not in resumed.completed
+
     def test_fallback_flag_survives_resume(self, tmp_path):
         path = tmp_path / "j.jsonl"
         journal = CheckpointJournal.open(path, self.RUN_KEY)
@@ -186,19 +191,21 @@ class TestCheckpointJournal:
 class TestRunTilesSerial:
     def test_clean_run_in_job_order(self):
         outcomes, stats = run_tiles(
-            _jobs(3), inner=StubInner(), spec=SPEC, retry=_fast_retry()
+            _jobs(3), inner=StubInner(), spec=SPEC, policy=_policy()
         )
         assert [o.tile_name for o in outcomes] == ["t0,0", "t1,0", "t2,0"]
         assert all(o.ok and not o.fallback for o in outcomes)
-        assert stats.as_dict() == {
+        assert asdict(stats) == {
             "tile_retries": 0, "tile_timeouts": 0, "pool_respawns": 0,
             "tile_fallbacks": 0, "tiles_replayed": 0,
         }
 
     def test_injected_raise_is_retried_then_succeeds(self):
         outcomes, stats = run_tiles(
-            _jobs(3), inner=StubInner(), spec=SPEC, retry=_fast_retry(),
-            fault_plan=FaultPlan(faults={"t1,0": FaultSpec("raise", 1)}),
+            _jobs(3), inner=StubInner(), spec=SPEC,
+            policy=_policy(
+                fault_plan=FaultPlan(faults={"t1,0": FaultSpec("raise", 1)})
+            ),
         )
         assert all(o.ok and not o.fallback for o in outcomes)
         assert outcomes[1].attempts == 2
@@ -206,8 +213,10 @@ class TestRunTilesSerial:
 
     def test_inline_hang_counts_as_timeout(self):
         outcomes, stats = run_tiles(
-            _jobs(2), inner=StubInner(), spec=SPEC, retry=_fast_retry(),
-            fault_plan=FaultPlan(faults={"t0,0": FaultSpec("hang", 1)}),
+            _jobs(2), inner=StubInner(), spec=SPEC,
+            policy=_policy(
+                fault_plan=FaultPlan(faults={"t0,0": FaultSpec("hang", 1)})
+            ),
         )
         assert all(o.ok for o in outcomes)
         assert stats.tile_timeouts == 1
@@ -216,8 +225,10 @@ class TestRunTilesSerial:
     def test_exhausted_retries_degrade_to_fallback(self):
         outcomes, stats = run_tiles(
             _jobs(3, subs_per_tile=2), inner=StubInner(), spec=SPEC,
-            retry=_fast_retry(max_attempts=2),
-            fault_plan=FaultPlan(faults={"t2,0": FaultSpec("raise", 99)}),
+            policy=_policy(
+                _fast_retry(max_attempts=2),
+                fault_plan=FaultPlan(faults={"t2,0": FaultSpec("raise", 99)}),
+            ),
             fallback=_stub_fallback,
         )
         assert outcomes[2].fallback
@@ -233,8 +244,10 @@ class TestRunTilesSerial:
     def test_zero_retries_goes_straight_to_fallback(self):
         outcomes, stats = run_tiles(
             _jobs(1), inner=StubInner(), spec=SPEC,
-            retry=_fast_retry(max_attempts=1),
-            fault_plan=FaultPlan(faults={"t0,0": FaultSpec("raise", 1)}),
+            policy=_policy(
+                _fast_retry(max_attempts=1),
+                fault_plan=FaultPlan(faults={"t0,0": FaultSpec("raise", 1)}),
+            ),
             fallback=_stub_fallback,
         )
         assert outcomes[0].fallback
@@ -244,14 +257,14 @@ class TestRunTilesSerial:
         run_key = {"k": 1}
         journal = CheckpointJournal.open(tmp_path / "j.jsonl", run_key)
         first, _ = run_tiles(
-            _jobs(3), inner=StubInner(), spec=SPEC, retry=_fast_retry(),
+            _jobs(3), inner=StubInner(), spec=SPEC, policy=_policy(),
             journal=journal,
         )
         resumed_journal = CheckpointJournal.open(
             tmp_path / "j.jsonl", run_key, resume=True
         )
         second, stats = run_tiles(
-            _jobs(3), inner=StubInner(), spec=SPEC, retry=_fast_retry(),
+            _jobs(3), inner=StubInner(), spec=SPEC, policy=_policy(),
             journal=resumed_journal,
         )
         assert stats.tiles_replayed == 3
@@ -260,7 +273,7 @@ class TestRunTilesSerial:
 
     def test_outcome_record_shape(self):
         outcomes, _stats = run_tiles(
-            _jobs(1), inner=StubInner(), spec=SPEC, retry=_fast_retry()
+            _jobs(1), inner=StubInner(), spec=SPEC, policy=_policy()
         )
         record = outcomes[0].to_record()
         assert record == {
@@ -276,7 +289,7 @@ class TestProgressTelemetry:
         rec = obs.TelemetryRecorder()
         with obs.recording(rec):
             run_tiles(_jobs(4), inner=StubInner(), spec=SPEC,
-                      retry=_fast_retry())
+                      policy=_policy())
         progress = [e for e in rec.events if e["name"] == "progress"]
         assert [e["tiles_done"] for e in progress] == [1, 2, 3, 4]
         assert all(e["tiles_total"] == 4 for e in progress)
@@ -295,14 +308,14 @@ class TestProgressTelemetry:
         run_key = {"k": 1}
         journal = CheckpointJournal.open(tmp_path / "j.jsonl", run_key)
         run_tiles(_jobs(3), inner=StubInner(), spec=SPEC,
-                  retry=_fast_retry(), journal=journal)
+                  policy=_policy(), journal=journal)
         resumed = CheckpointJournal.open(
             tmp_path / "j.jsonl", run_key, resume=True
         )
         rec = obs.TelemetryRecorder()
         with obs.recording(rec):
             run_tiles(_jobs(4), inner=StubInner(), spec=SPEC,
-                      retry=_fast_retry(), journal=resumed)
+                      policy=_policy(), journal=resumed)
         progress = [e for e in rec.events if e["name"] == "progress"]
         # Only the one fresh tile produces a progress event, starting
         # from the replayed baseline of 3.
@@ -315,8 +328,10 @@ class TestProgressTelemetry:
         with obs.recording(rec):
             run_tiles(
                 _jobs(2), inner=StubInner(), spec=SPEC,
-                retry=_fast_retry(max_attempts=1),
-                fault_plan=FaultPlan(faults={"t0,0": FaultSpec("raise", 1)}),
+                policy=_policy(
+                    _fast_retry(max_attempts=1),
+                    fault_plan=FaultPlan(faults={"t0,0": FaultSpec("raise", 1)}),
+                ),
                 fallback=_stub_fallback,
             )
         progress = [e for e in rec.events if e["name"] == "progress"]
@@ -329,7 +344,7 @@ class TestHeartbeatIntegration:
 
         outcomes, _stats = run_tiles(
             _jobs(4), inner=StubInner(), spec=SPEC, workers=2,
-            retry=_fast_retry(),
+            policy=_policy(),
         )
         pids = {o.worker_pid for o in outcomes}
         assert None not in pids
@@ -350,7 +365,7 @@ class TestHeartbeatIntegration:
         with obs.recording(rec):
             outcomes, _stats = run_tiles(
                 _jobs(8), inner=SlowInner(), spec=SPEC, workers=2,
-                retry=_fast_retry(), heartbeat_s=0.05,
+                policy=_policy(heartbeat_s=0.05),
             )
         assert all(o.ok for o in outcomes)
         beats = [e for e in rec.events if e["name"] == "worker_heartbeat"]
@@ -365,11 +380,13 @@ class TestHeartbeatIntegration:
         with obs.recording(rec):
             outcomes, stats = run_tiles(
                 _jobs(3), inner=StubInner(), spec=SPEC, workers=2,
-                retry=_fast_retry(tile_deadline_s=2.0),
-                fault_plan=FaultPlan(
-                    faults={"t1,0": FaultSpec("hang", 1)}, hang_s=60.0
+                policy=_policy(
+                    _fast_retry(tile_deadline_s=2.0),
+                    fault_plan=FaultPlan(
+                        faults={"t1,0": FaultSpec("hang", 1)}, hang_s=60.0
+                    ),
+                    heartbeat_s=0.1,
                 ),
-                heartbeat_s=0.1,
             )
         assert all(o.ok for o in outcomes)
         assert stats.tile_timeouts == 1
@@ -387,15 +404,14 @@ class TestHeartbeatIntegration:
         import repro.obs as obs
 
         baseline, _ = run_tiles(
-            _jobs(6), inner=StubInner(), spec=SPEC, retry=_fast_retry()
+            _jobs(6), inner=StubInner(), spec=SPEC, policy=_policy()
         )
         stream = obs.TelemetryStream(tmp_path / "s.jsonl")
         rec = obs.TelemetryRecorder(stream=stream)
         with obs.recording(rec):
             observed, _ = run_tiles(
                 _jobs(6), inner=StubInner(), spec=SPEC, workers=2,
-                retry=_fast_retry(), telemetry_enabled=True,
-                heartbeat_s=0.05,
+                policy=_policy(heartbeat_s=0.05),
             )
         stream.close()
         assert [o.shots for o in observed] == [o.shots for o in baseline]

@@ -132,44 +132,6 @@ class TestParallelTelemetry:
         assert names == ["mdp.shape", "mdp.shape"]
 
 
-class TestBatchJournal:
-    def test_append_load_round_trip(self, tmp_path):
-        from repro.mask.mdp import BatchJournal
-
-        journal = BatchJournal(tmp_path / "batch.index.jsonl")
-        journal.append("fp-1", "rect", {"shots": [], "shot_count": 0})
-        journal.append("fp-2", "L", {"shots": [], "shot_count": 2})
-
-        reloaded = BatchJournal(tmp_path / "batch.index.jsonl")
-        assert reloaded.load() == 2
-        assert reloaded.get("fp-2") == {"shots": [], "shot_count": 2}
-        assert reloaded.get("fp-3") is None
-
-    def test_missing_file_loads_empty(self, tmp_path):
-        from repro.mask.mdp import BatchJournal
-
-        assert BatchJournal(tmp_path / "nope.jsonl").load() == 0
-
-    def test_torn_trailing_line_tolerated(self, tmp_path):
-        from repro.mask.mdp import BatchJournal
-
-        path = tmp_path / "batch.index.jsonl"
-        journal = BatchJournal(path)
-        journal.append("fp-1", "rect", {"shots": []})
-        with open(path, "a", encoding="utf-8") as fh:
-            fh.write('{"v": 1, "fingerprint": "fp-2", "payl')  # crash mid-append
-        reloaded = BatchJournal(path)
-        assert reloaded.load() == 1
-        assert reloaded.get("fp-1") is not None
-
-    def test_foreign_records_ignored(self, tmp_path):
-        from repro.mask.mdp import BatchJournal
-
-        path = tmp_path / "batch.index.jsonl"
-        path.write_text('{"v": 2, "fingerprint": "x", "payload": {}}\n[1,2]\n')
-        assert BatchJournal(path).load() == 0
-
-
 class TestMdpResume:
     def test_resume_replays_bit_identically(self, rect_shape, l_shape, spec, tmp_path):
         journal = tmp_path / "batch.index.jsonl"
@@ -208,12 +170,56 @@ class TestMdpResume:
         journal = tmp_path / "batch.index.jsonl"
         pipeline = MdpPipeline(PartitionFracturer(), spec)
         pipeline.run([rect_shape, rect_shape], journal=journal)
-        lines = [
-            line for line in
-            (tmp_path / "batch.index.jsonl").read_text().splitlines()
-            if line.strip()
-        ]
-        assert len(lines) == 1
+        records = _journal_records(journal)
+        assert [r.get("kind") for r in records] == ["header", "tile"]
+
+    def test_runs_without_resume_start_over(
+        self, rect_shape, l_shape, spec, tmp_path
+    ):
+        journal = tmp_path / "batch.index.jsonl"
+        pipeline = MdpPipeline(PartitionFracturer(), spec)
+        pipeline.run([rect_shape, l_shape], journal=journal)
+        pipeline.run([rect_shape, l_shape], journal=journal)
+        records = _journal_records(journal)
+        assert len(records) == 3  # a header plus one line per shape
+        assert [r.get("kind") for r in records] == ["header", "tile", "tile"]
+        assert [r["shape"] for r in records[1:]] == ["rect", "L"]
+
+    def test_resume_after_torn_tail_keeps_the_next_shape(
+        self, rect_shape, l_shape, spec, tmp_path
+    ):
+        journal = tmp_path / "batch.index.jsonl"
+        pipeline = MdpPipeline(PartitionFracturer(), spec)
+        pipeline.run([rect_shape], journal=journal)
+        with open(journal, "a", encoding="utf-8") as fh:
+            fh.write('{"kind": "tile", "tile": "abc", "payl')  # crash mid-append
+
+        first = pipeline.run([rect_shape, l_shape], journal=journal, resume=True)
+        assert [r.extra.get("resumed", False) for r in first.results] == \
+            [True, False]
+        second = pipeline.run([rect_shape, l_shape], journal=journal, resume=True)
+        assert all(r.extra.get("resumed") for r in second.results)
+        assert [r.shots for r in second.results] == \
+            [r.shots for r in first.results]
+
+    def test_journal_without_header_refused_on_resume(
+        self, rect_shape, spec, tmp_path
+    ):
+        import pytest
+
+        from repro.fracture.runtime import CheckpointMismatch
+
+        journal = tmp_path / "batch.index.jsonl"
+        journal.write_text(
+            '{"v": 1, "shape": "rect", "fingerprint": "x", "payload": {}}\n'
+        )
+        pipeline = MdpPipeline(PartitionFracturer(), spec)
+        with pytest.raises(CheckpointMismatch):
+            pipeline.run([rect_shape], journal=journal, resume=True)
+
+
+def _journal_records(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
 
 
 class TestMdpFractureCache:

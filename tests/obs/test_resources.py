@@ -31,6 +31,17 @@ class TestSampling:
         assert sample["cpu_s"] >= 0.0
 
 
+class TestAtomicWrite:
+    def test_replaces_whole_file_without_leftovers(self, tmp_path):
+        from repro.obs import atomic_write_text
+
+        path = tmp_path / "out.json"
+        path.write_text("old contents that are longer")
+        atomic_write_text(path, "new")
+        assert path.read_text() == "new"
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 class TestHeartbeatWriter:
     def test_beat_publishes_atomic_json(self, tmp_path):
         writer = HeartbeatWriter(tmp_path, interval_s=60.0)
@@ -227,6 +238,32 @@ class TestNamedWriterAndSummary:
         }))
         summary = summarize_heartbeats(tmp_path, stall_after_s=10.0, now=now)
         assert summary["alive"] == 1 and summary["stalled"] == 0
+
+    def test_monitor_and_summary_classify_alike(self, tmp_path):
+        from repro.obs import summarize_heartbeats
+
+        now = 1000.0
+        beats = {
+            "hb-a.json": {"pid": 1, "t": now - 1.0},
+            "hb-b.json": {
+                "pid": 2, "t": now - 1.0, "tile": "t0,0",
+                "task_started_t": now - 50.0,
+            },
+            "hb-c.json": {"pid": 3, "t": now - 60.0},
+        }
+        for name, beat in beats.items():
+            (tmp_path / name).write_text(json.dumps(beat))
+        summary = summarize_heartbeats(
+            tmp_path, stall_after_s=10.0, slow_task_after_s=20.0, now=now,
+        )
+        stalls = HeartbeatMonitor(
+            tmp_path, TelemetryRecorder(), interval_s=1.0,
+            stall_after_s=10.0, slow_task_after_s=20.0,
+        ).tick(now=now)
+        flagged = {w["pid"]: w["status"] for w in summary["workers"]
+                   if w["status"] != "alive"}
+        assert flagged == {s["pid"]: s["kind"] for s in stalls}
+        assert flagged == {2: "slow_task", 3: "no_heartbeat"}
 
     def test_summarize_empty_or_missing_directory(self, tmp_path):
         from repro.obs import summarize_heartbeats
