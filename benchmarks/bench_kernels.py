@@ -7,15 +7,15 @@ seam:
   masks at growing sizes, vectorized run-length row-merge vs the pure
   Python union–find oracle (the contract requires ≥3x at 512²);
 * ``pricing`` — the compiled ``clamped_band_sums`` kernel vs the
-  per-candidate NumPy scoring loop on synthetic candidate batches, at a
-  thin and a bulky band size, each run asserting bit-identity (the
-  script exits non-zero on any differing bit);
+  per-candidate NumPy loop of the :class:`KernelBackend` base class on
+  synthetic candidate batches, at a thin and a bulky band size, each run
+  asserting bit-identity (the script exits non-zero on any differing
+  bit);
 * ``stitch_crop`` — per-iteration cost-field work of a seam-band
-  restricted ``RefinementState`` with the bbox crop (the default numpy
-  backend) vs the full grid (the :class:`KernelBackend` base class, which
-  opts out of the crop and prefix-sums with ``np.cumsum``), on a
-  long-bar layout whose seam is a narrow strip, so the work scales with
-  seam area, not grid area.
+  restricted ``RefinementState``, whose field box is the active mask's
+  bounding box, vs an unrestricted state of the same shape, whose box
+  is the whole grid, on a long-bar layout whose seam is a narrow strip,
+  so the work scales with seam area, not grid area.
 
 Standalone by design (no pytest-benchmark): CI runs it non-gating and
 uploads the JSON artifact.
@@ -38,7 +38,7 @@ from repro.fracture.graph_color import approximate_fracture
 from repro.fracture.state import RefinementState
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
-from repro.kernels import get_backend, use_backend
+from repro.kernels import get_backend
 from repro.kernels.backend import KernelBackend
 from repro.mask.constraints import FractureSpec
 from repro.mask.shape import MaskShape
@@ -104,42 +104,6 @@ def bench_labeling(sizes: list[int], repeats: int) -> list[dict]:
 
 # -- pricing ----------------------------------------------------------------
 
-def _loop_band_sums(
-    windows, row_vals, col_vals, sign, base, active_integral, cost_integral
-):
-    """Per-candidate NumPy scoring with the operation sequence of
-    ``RefinementState._price_edge_moves_loop`` — the oracle."""
-    out = np.zeros(windows.shape[0], dtype=np.float64)
-    corners = np.zeros((windows.shape[0], 4), dtype=np.intp)
-    r_off = c_off = 0
-    for i, (y0, y1, x0, x1) in enumerate(windows.tolist()):
-        rv = row_vals[r_off:r_off + y1 - y0]
-        cv = col_vals[c_off:c_off + x1 - x0]
-        r_off += y1 - y0
-        c_off += x1 - x0
-        crop = RefinementState.crop_to_active(
-            active_integral, (slice(y0, y1), slice(x0, x1))
-        )
-        if crop is None:
-            continue
-        r0, r1, c0, c1 = crop
-        window = (slice(y0 + r0, y0 + r1), slice(x0 + c0, x0 + c1))
-        patch = np.multiply(rv[r0:r1, None], cv[None, c0:c1])
-        patch *= sign[window]
-        patch += base[window]
-        np.maximum(patch, 0.0, out=patch)
-        out[i] = patch.sum()
-        corners[i] = (y0 + r0, y0 + r1, x0 + c0, x0 + c1)
-    wr0, wr1, wc0, wc1 = corners.T
-    out -= (
-        cost_integral[wr1, wc1]
-        - cost_integral[wr0, wc1]
-        - cost_integral[wr1, wc0]
-        + cost_integral[wr0, wc0]
-    )
-    return out
-
-
 def bench_pricing(repeats: int) -> list[dict]:
     rng = np.random.default_rng(20150608)
     grid = 512
@@ -154,7 +118,7 @@ def bench_pricing(repeats: int) -> list[dict]:
         base, box, np.zeros((grid + 1, grid + 1))
     )
     backend = get_backend()
-    if not backend.compiled_pricing:
+    if backend.pricing_fallback is not None:
         raise SystemExit(
             f"compiled pricing kernel unavailable: {backend.pricing_fallback}"
         )
@@ -174,11 +138,11 @@ def bench_pricing(repeats: int) -> list[dict]:
         )
         backend.clamped_band_sums(*args)  # warm-up
         fast = _best_of(lambda: backend.clamped_band_sums(*args), repeats)
-        loop = _best_of(lambda: _loop_band_sums(*args), repeats)
+        loop = _best_of(lambda: oracle.clamped_band_sums(*args), repeats)
         identical = bool(
             np.array_equal(
                 backend.clamped_band_sums(*args).view(np.int64),
-                _loop_band_sums(*args).view(np.int64),
+                oracle.clamped_band_sums(*args).view(np.int64),
             )
         )
         entry = {
@@ -230,14 +194,13 @@ def bench_stitch_crop(repeats: int, iters: int = 20) -> dict:
             state.cost_integral()
             state.active_integral()
 
-    def best_wall() -> float:
-        state = RefinementState(shape, spec, shots, active_mask=mask)
+    def best_wall(active_mask) -> float:
+        state = RefinementState(shape, spec, shots, active_mask=active_mask)
         field_pass(state)  # warm-up
         return _best_of(lambda: field_pass(state), repeats)
 
-    cropped = best_wall()
-    with use_backend(KernelBackend()):
-        full = best_wall()
+    cropped = best_wall(mask)
+    full = best_wall(None)
     grid_px = int(mask.size)
     seam_px = int(np.count_nonzero(mask))
     rows = np.flatnonzero(mask.any(axis=1))
@@ -289,7 +252,7 @@ def run(repeats: int) -> dict:
     return {
         "benchmark": "kernels",
         "baseline": "oracle paths (pure-Python union-find, per-candidate "
-                    "NumPy loop scoring, full-grid stitch fields)",
+                    "NumPy loop scoring, whole-grid field box)",
         "backend": get_backend().name,
         "repeats": repeats,
         "platform": platform.platform(),

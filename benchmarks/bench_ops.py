@@ -5,7 +5,7 @@ Not tied to a specific paper table; these quantify:
 * the LUT speedup of the intensity convolution (paper §4.1 claims the
   lookup table is what makes edge pricing affordable);
 * incremental vs from-scratch intensity maintenance;
-* the narrow edge-move window vs the full shot window;
+* the narrow edge-move band update vs the full union-window replace;
 * coloring-strategy ablation for stage 1;
 * the polish/portfolio extensions vs the paper-faithful Algorithm 1.
 """
@@ -56,21 +56,22 @@ class TestIntensityOps:
         shots = [Rect(20 + 30 * i, 40, 45 + 30 * i, 200) for i in range(8)]
         benchmark(lambda: imap.rebuild(shots))
 
-    def test_edge_move_delta_narrow_window(self, benchmark):
+    def test_edge_move_commit_narrow_window(self, benchmark):
+        # The band update a committed edge move applies: one outer
+        # product on the narrow window (compare test_incremental_replace,
+        # which touches the full union window of both shot versions).
         grid = PixelGrid(0, 0, 1.0, 320, 320)
         imap = IntensityMap(grid, 6.25)
         shot = Rect(50, 50, 250, 250)
         imap.add(shot)
-        moved = shot.moved_edge("left", 1.0)
-        benchmark(lambda: imap.edge_move_delta(shot, moved, "left"))
-
-    def test_candidate_total_full_window(self, benchmark):
-        grid = PixelGrid(0, 0, 1.0, 320, 320)
-        imap = IntensityMap(grid, 6.25)
-        shot = Rect(50, 50, 250, 250)
-        imap.add(shot)
-        moved = shot.moved_edge("left", 1.0)
-        benchmark(lambda: imap.candidate_total(shot, moved))
+        ys = grid.y_span_to_slice(shot.ybl, shot.ytr, imap.reach)
+        xs = grid.x_span_to_slice(shot.xbl - 1.0, shot.xbl, imap.reach)
+        fixed = imap.profile(("y", shot.ybl, shot.ytr, ys.start, ys.stop))
+        moved = imap.delta_profile(
+            ("x", shot.xbl, shot.xtr, xs.start, xs.stop),
+            ("x", shot.xbl - 1.0, shot.xtr, xs.start, xs.stop),
+        )
+        benchmark(lambda: imap.add_separable((ys, xs), fixed, moved))
 
 
 class TestStageOneAblation:

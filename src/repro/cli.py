@@ -67,6 +67,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.fracture.base import Fracturer
+from repro.fracture.runtime import CheckpointMismatch
 from repro.kernels import kernels_manifest
 from repro.mask.constraints import FractureSpec
 from repro.mask.io import load_clips, save_clips, save_solution
@@ -106,60 +107,35 @@ def _graceful_signals():
         signal.signal(signal.SIGTERM, previous)
 
 
-def _positive_int(value: str) -> int:
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a whole number, got {value!r}"
-        ) from None
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be at least 1, got {parsed}"
-        )
-    return parsed
+def _checked(parse, accept, requirement: str):
+    """An argparse ``type``: ``parse`` the string, then require ``accept``.
+
+    A parse failure reports what was expected; a rejected value reports
+    ``requirement`` with the parsed value.
+    """
+
+    def convert(value: str):
+        try:
+            parsed = parse(value)
+        except ValueError:
+            expected = "a whole number" if parse is int else "a number"
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}, got {value!r}"
+            ) from None
+        if not accept(parsed):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {parsed}")
+        return parsed
+
+    return convert
 
 
-def _positive_float(value: str) -> float:
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number, got {value!r}"
-        ) from None
-    if parsed <= 0.0:
-        raise argparse.ArgumentTypeError(
-            f"must be positive, got {parsed}"
-        )
-    return parsed
-
-
-def _nonnegative_float(value: str) -> float:
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number, got {value!r}"
-        ) from None
-    if parsed < 0.0:
-        raise argparse.ArgumentTypeError(
-            f"must be non-negative, got {parsed}"
-        )
-    return parsed
-
-
-def _fraction(value: str) -> float:
-    try:
-        parsed = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number, got {value!r}"
-        ) from None
-    if not 0.0 < parsed <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"must be a fraction in (0, 1], got {parsed}"
-        )
-    return parsed
+_positive_int = _checked(int, lambda n: n >= 1, "must be at least 1")
+_nonnegative_int = _checked(int, lambda n: n >= 0, "must be 0 or more")
+_positive_float = _checked(float, lambda x: x > 0.0, "must be positive")
+_nonnegative_float = _checked(float, lambda x: x >= 0.0, "must be non-negative")
+_fraction = _checked(
+    float, lambda x: 0.0 < x <= 1.0, "must be a fraction in (0, 1]"
+)
 
 
 def _runtime_policy(args: argparse.Namespace, batch_checkpoint: bool = False):
@@ -189,8 +165,6 @@ def _runtime_policy(args: argparse.Namespace, batch_checkpoint: bool = False):
             raise SystemExit(
                 f"{flag} applies to the tiled executor; add --window-nm"
             )
-    if args.tile_retries < 0:
-        raise SystemExit("--tile-retries must be 0 or more")
     fault_plan = None
     if args.inject_fault:
         try:
@@ -244,7 +218,7 @@ def _add_window_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     """Fault-tolerance flags of the tiled executor (require --window-nm)."""
     parser.add_argument(
-        "--tile-retries", type=int, default=2, metavar="N",
+        "--tile-retries", type=_nonnegative_int, default=2, metavar="N",
         help="retries per tile before degrading to the partition "
              "baseline (default 2)",
     )
@@ -1511,7 +1485,14 @@ def main(argv: list[str] | None = None) -> int:
     # default silent) logging so progress lands on stderr.
     obs.enable_console_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CheckpointMismatch as error:
+        print(
+            f"error: {error}\nrerun without --resume to start over",
+            file=sys.stderr,
+        )
+        return 1
 
 
 if __name__ == "__main__":

@@ -260,22 +260,17 @@ class IntensityMap:
             self._store_profile(key, self._finish_profile(values))
 
     def profile(self, key: ProfileKey) -> np.ndarray:
-        """Fetch a cached profile, computing it on the fly if absent."""
-        cached = self._profile_cache.get(key)
-        if cached is not None:
-            return cached
-        return self.axis_profile(key[0], key[1], key[2], slice(key[3], key[4]))
+        """Fetch a cached profile, computing it on the fly if absent.
 
-    def cached_profile(self, key: ProfileKey) -> np.ndarray:
-        """:meth:`profile` without the tuple packing of a cache miss.
-
-        Identical values; used by the pricing hot loops, which have
-        usually pre-warmed the cache via :meth:`ensure_profiles`.
+        The hot-loop getter: a hit returns without touching the
+        counters (the batch that warmed the cache via
+        :meth:`ensure_profiles` already counted it); a miss goes through
+        :meth:`axis_profile` and counts there.
         """
         cached = self._profile_cache.get(key)
         if cached is not None:
             return cached
-        return self.profile(key)
+        return self.axis_profile(key[0], key[1], key[2], slice(key[3], key[4]))
 
     def delta_profile(self, k_old: ProfileKey, k_new: ProfileKey) -> np.ndarray:
         """Moved-axis difference profile ``profile(k_new) − profile(k_old)``.
@@ -290,14 +285,10 @@ class IntensityMap:
         if delta is None:
             if len(memo) >= _DELTA_CACHE_LIMIT:
                 memo.clear()
-            delta = self.cached_profile(k_new) - self.cached_profile(k_old)
+            delta = self.profile(k_new) - self.profile(k_old)
             delta.flags.writeable = False
             memo[dkey] = delta
         return delta
-
-    def clear_profile_cache(self) -> None:
-        self._profile_cache.clear()
-        self._delta_cache.clear()
 
     def _profile_args(self, key: ProfileKey) -> np.ndarray:
         """The ``2n`` erf arguments of one profile: (t−lo)/σ then (t−hi)/σ."""
@@ -347,128 +338,22 @@ class IntensityMap:
         _, new_patch = self.shot_patch(new, window)
         self._total[window] += new_patch - old_patch
 
-    def apply_edge_move(
-        self, old: Rect, new: Rect, edge: str
-    ) -> tuple[slice, slice]:
-        """Commit a single-edge move by adding its narrow-window delta.
+    def add_separable(
+        self, window: tuple[slice, slice], rows: np.ndarray, cols: np.ndarray
+    ) -> None:
+        """Add the outer product ``rows ⊗ cols`` to I_tot on ``window``.
 
-        The committed change is exactly the patch the pricing paths
-        scored (same profiles, same window), so an accepted Δcost matches
-        the realized cost change to fp precision — and the update touches
-        a fraction of the pixels a union-window :meth:`replace` would.
+        The band update of a committed edge move: only one axis profile
+        differs between the shot before and after, so the change is
+        (unchanged-axis profile) × (moved-axis profile difference) on the
+        narrow window where they differ — a fraction of the pixels a
+        union-window :meth:`replace` would touch.
         """
-        window, patch = self.edge_move_delta(old, new, edge)
-        self._total[window] += patch
-        return window
+        get_recorder().incr("intensity.edge_deltas")
+        self._total[window] += rows[:, None] * cols[None, :]
 
     def rebuild(self, shots: Iterable[Rect]) -> None:
         """Recompute from scratch (used to bound incremental drift)."""
         self._total[:] = 0.0
         for shot in shots:
             self.add(shot)
-
-    def candidate_total(
-        self, old: Rect, new: Rect, window: tuple[slice, slice] | None = None
-    ) -> tuple[tuple[slice, slice], np.ndarray]:
-        """What I_tot would look like in the affected window if ``old``
-        were replaced by ``new`` — without committing the change.
-
-        This is the hot path of GreedyShotEdgeAdjustment: two calls per
-        shot edge per iteration.  Callers that know the change is local
-        (single-edge moves) pass a tighter ``window``; intensity outside
-        it differs only by the erf tail beyond the blur reach (< 2e-8).
-        """
-        if window is None:
-            window = self.union_window(old, new)
-        _, old_patch = self.shot_patch(old, window)
-        _, new_patch = self.shot_patch(new, window)
-        return window, self._total[window] - old_patch + new_patch
-
-    def edge_move_profile_keys(
-        self, old: Rect, new: Rect, edge: str, window: tuple[slice, slice]
-    ) -> tuple[ProfileKey, ProfileKey, ProfileKey]:
-        """The (old, new, fixed) profile keys pricing an edge move needs."""
-        ys, xs = window
-        if edge in ("left", "right"):
-            return (
-                ("x", old.xbl, old.xtr, xs.start, xs.stop),
-                ("x", new.xbl, new.xtr, xs.start, xs.stop),
-                ("y", old.ybl, old.ytr, ys.start, ys.stop),
-            )
-        return (
-            ("y", old.ybl, old.ytr, ys.start, ys.stop),
-            ("y", new.ybl, new.ytr, ys.start, ys.stop),
-            ("x", old.xbl, old.xtr, xs.start, xs.stop),
-        )
-
-    @staticmethod
-    def outer_delta(
-        edge: str,
-        profile_old: np.ndarray,
-        profile_new: np.ndarray,
-        profile_fixed: np.ndarray,
-    ) -> np.ndarray:
-        """Outer-product intensity delta of an edge move from its profiles."""
-        delta = profile_new - profile_old
-        if edge in ("left", "right"):
-            return profile_fixed[:, None] * delta[None, :]
-        return delta[:, None] * profile_fixed[None, :]
-
-    def edge_move_delta(
-        self, old: Rect, new: Rect, edge: str
-    ) -> tuple[tuple[slice, slice], np.ndarray]:
-        """Intensity change of a single-edge move, on its narrow window.
-
-        Only one axis profile differs between ``old`` and ``new``, so the
-        delta is one outer product of (changed-axis profile difference) ×
-        (unchanged-axis profile) — the cheapest possible pricing of a
-        candidate edge move.  The three profiles are profile-cache
-        lookups on the hot path.
-        """
-        window = self.edge_move_window(old, new, edge)
-        get_recorder().incr("intensity.edge_deltas")
-        k_old, k_new, k_fixed = self.edge_move_profile_keys(old, new, edge, window)
-        return window, self.outer_delta(
-            edge, self.profile(k_old), self.profile(k_new), self.profile(k_fixed)
-        )
-
-    def edge_move_window(self, old: Rect, new: Rect, edge: str) -> tuple[slice, slice]:
-        """Window where a single-edge move changes the intensity.
-
-        For a vertical-edge move only the x profile changes, and only
-        within the blur reach of the swept strip — the window is a narrow
-        band spanning the shot's full (padded) height, and vice versa for
-        horizontal edges.  Roughly an order of magnitude smaller than the
-        full union window, which is what makes edge pricing cheap.
-        """
-        if edge in ("left", "right"):
-            x_old = old.edge_coordinate(edge)
-            x_new = new.edge_coordinate(edge)
-            band = Rect(
-                min(x_old, x_new), min(old.ybl, new.ybl),
-                max(x_old, x_new), max(old.ytr, new.ytr),
-            )
-        else:
-            y_old = old.edge_coordinate(edge)
-            y_new = new.edge_coordinate(edge)
-            band = Rect(
-                min(old.xbl, new.xbl), min(y_old, y_new),
-                max(old.xtr, new.xtr), max(y_old, y_new),
-            )
-        return self.grid.rect_to_slices(band, margin=self.reach)
-
-    def copy(self) -> "IntensityMap":
-        clone = IntensityMap.__new__(IntensityMap)
-        clone.grid = self.grid
-        clone.sigma = self.sigma
-        clone.reach = self.reach
-        clone._lut = self._lut
-        clone._total = self._total.copy()
-        clone._x_centers = self._x_centers
-        clone._y_centers = self._y_centers
-        # Profiles are immutable (read-only arrays keyed by geometry), so
-        # the clone can share them; only the dict itself is copied.
-        clone._profile_cache = dict(self._profile_cache)
-        clone._profile_cache_limit = self._profile_cache_limit
-        clone._delta_cache = dict(self._delta_cache)
-        return clone

@@ -9,9 +9,8 @@ the same iteration — the paper's anti-cycling rule (shot intensity is
 Candidate pricing gathers every candidate of the iteration, fills the
 1-D profile cache with a single LUT evaluation, and scores all windowed
 Eq. 5 Δcosts in one batch (:meth:`RefinementState.price_edge_moves`).
-The per-candidate :meth:`RefinementState.edge_move_delta_cost` it is
-gated against, and a whole-run scalar pricing loop, live in the tests
-as oracles.
+The per-candidate Δcost it is gated against, and a whole-run scalar
+pricing loop, live in the tests as oracles (``tests/oracles.py``).
 """
 
 from __future__ import annotations

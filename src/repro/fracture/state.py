@@ -14,20 +14,22 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.ebeam.intensity_map import IntensityMap, ProfileKey
-from repro.geometry.rect import Rect
+from repro.geometry.rect import EDGES, Rect
 from repro.kernels import get_backend
 from repro.mask.constraints import FailureReport, FractureSpec
 from repro.mask.pixels import PixelSets
 from repro.mask.shape import MaskShape
 from repro.obs import get_recorder
 
+_EMPTY = np.zeros(0, dtype=np.float64)
 
 class EdgeMoveCandidate(NamedTuple):
     """One validated candidate edge move, ready for batched pricing.
 
-    ``old``/``new`` are the shot before and after the move and ``window``
-    the narrow index window where they differ — everything the pricing
-    engine needs without touching the (mutable) shot list again.
+    ``window`` is the narrow index window where the move changes I_tot
+    and ``keys`` the (old, new, fixed) profile keys of its separable
+    patch — everything the pricing engine needs without touching the
+    (mutable) shot list again.
     """
 
     index: int
@@ -56,9 +58,8 @@ class RefinementState:
     __slots__ = (
         "shape", "spec", "pixels", "imap", "shots", "background",
         "active_mask",
-        "_cost_sign", "_cost_bias", "_cost_base", "_scratch",
-        "_gather_memo", "_cost_integral", "_active_integral",
-        "_field_scratch", "_crop",
+        "_cost_sign", "_cost_bias", "_cost_base", "_move_memo",
+        "_cost_integral", "_active_integral", "_field_scratch", "_box",
     )
 
     def __init__(
@@ -104,43 +105,38 @@ class RefinementState:
         # with no boolean masking.
         self._cost_sign = self.pixels.off.astype(np.float64) - self.pixels.on
         self._cost_bias = self._cost_sign * spec.rho
-        # Region-restricted refinements confine every nonzero cost-field
-        # entry to the active mask's bounding box (S is 0 outside the
-        # mask, so S·I − S·ρ is exactly 0.0 there).  When the kernel
-        # backend opts in, the per-iteration field work — base refresh,
-        # report, cost/active prefix sums — runs on that box only, so
+        # Every nonzero cost-field entry lies in one field box
+        # ``(r0, r1, c0, c1)`` (half-open pixel bounds): the active
+        # mask's bounding box for a restricted state (S is 0 outside the
+        # mask, so S·I − S·ρ is exactly 0.0 there), the whole grid
+        # otherwise.  The per-iteration field work — base refresh,
+        # report, cost/active prefix sums — runs on the box only, so
         # stitch cost scales with the seam area instead of the grid.
-        # ``_crop`` is ``(r0, r1, c0, c1)`` half-open pixel bounds, or
-        # None for full-grid behaviour (the oracle path in the tests).
-        self._crop: tuple[int, int, int, int] | None = None
-        if active_mask is not None and get_backend().crop_stitch_field:
+        ny, nx = self._cost_sign.shape
+        self._box = (0, ny, 0, nx)
+        if active_mask is not None:
             rows = np.flatnonzero(active_mask.any(axis=1))
             cols = np.flatnonzero(active_mask.any(axis=0))
-            if rows.size and cols.size:
-                self._crop = (
+            if rows.size:
+                self._box = (
                     int(rows[0]), int(rows[-1]) + 1,
                     int(cols[0]), int(cols[-1]) + 1,
                 )
-        ny, nx = self._cost_sign.shape
-        if self._crop is not None:
-            # Out-of-box entries are never rewritten, so they must start
-            # at their exact value: 0.0 (see above).
-            self._cost_base = np.zeros_like(self._cost_sign)
-            r0, r1, c0, c1 = self._crop
-            self._field_scratch = np.empty((r1 - r0, c1 - c0), dtype=np.float64)
-            obs = get_recorder()
-            obs.gauge("kernels.stitch_grid_px", float(ny * nx))
-            obs.gauge(
-                "kernels.stitch_bbox_px", float((r1 - r0) * (c1 - c0))
-            )
-        else:
-            self._cost_base = np.empty_like(self._cost_sign)
-            self._field_scratch = None
-        self._scratch = np.empty(0, dtype=np.float64)
+                r0, r1, c0, c1 = self._box
+                obs = get_recorder()
+                obs.gauge("kernels.stitch_grid_px", float(ny * nx))
+                obs.gauge(
+                    "kernels.stitch_bbox_px", float((r1 - r0) * (c1 - c0))
+                )
+        r0, r1, c0, c1 = self._box
+        # Out-of-box entries are never rewritten, so they must start at
+        # their exact value: 0.0 (see above).
+        self._cost_base = np.zeros_like(self._cost_sign)
+        self._field_scratch = np.empty((r1 - r0, c1 - c0), dtype=np.float64)
         # Candidate geometry memo (windows + profile keys per shot rect)
         # and reused prefix-sum buffers — rebuilt contents every greedy
         # pass, but the allocations are paid once.
-        self._gather_memo: dict[tuple, tuple] = {}
+        self._move_memo: dict[tuple, tuple] = {}
         self._cost_integral = np.zeros((ny + 1, nx + 1), dtype=np.float64)
         self._active_integral = np.zeros((ny + 1, nx + 1), dtype=np.int32)
         self._refresh_cost_base()
@@ -148,22 +144,13 @@ class RefinementState:
     def _refresh_cost_base(
         self, window: tuple[slice, slice] | None = None
     ) -> None:
-        """Recompute ``S·I − S·ρ`` where I_tot changed (or everywhere)."""
+        """Recompute ``S·I − S·ρ`` where I_tot changed (or on the box)."""
         if window is None:
-            if self._crop is not None:
-                # Everything outside the crop box is exactly 0.0 and was
-                # initialized so; refresh the box only.
-                r0, r1, c0, c1 = self._crop
-                window = (slice(r0, r1), slice(c0, c1))
-            else:
-                np.multiply(
-                    self._cost_sign, self.imap.total, out=self._cost_base
-                )
-                self._cost_base -= self._cost_bias
-                return
-        base = self._cost_sign[window] * self.imap.total[window]
+            r0, r1, c0, c1 = self._box
+            window = (slice(r0, r1), slice(c0, c1))
+        base = self._cost_base[window]
+        np.multiply(self._cost_sign[window], self.imap.total[window], out=base)
         base -= self._cost_bias[window]
-        self._cost_base[window] = base
 
     # -- cost evaluation --------------------------------------------------
 
@@ -176,32 +163,20 @@ class RefinementState:
         ``base ≥ 0`` (the subtraction happens around ρ, where it is exact
         by Sterbenz' lemma, so the masks match
         :func:`~repro.mask.constraints.failure_report` bit for bit), and
-        the Eq. 5 cost is the sum of the clamped base field.
+        the Eq. 5 cost is the sum of the clamped base field.  Pixels
+        outside the field box are don't-care (S = 0), so they can
+        neither fail nor carry cost: the masks are full-size for the
+        add/remove consumers, but only their box is computed, and the
+        cost is NumPy's pairwise sum of the clamped box.
         """
-        if self._crop is not None:
-            # Cropped evaluation: pixels outside the active-mask box are
-            # don't-care (S = 0), so they can neither fail nor carry
-            # cost; the returned masks are still full-size for the
-            # add/remove consumers.  The cost sum runs over the box only
-            # — the excluded terms are exact zeros, and NumPy's pairwise
-            # summation of the box slice is the documented accumulation
-            # order for cropped states (gated against the full-grid
-            # oracle at the shot level, not the ULP level).
-            r0, r1, c0, c1 = self._crop
-            box = (slice(r0, r1), slice(c0, c1))
-            base_box = self._cost_base[box]
-            fail_on = np.zeros(self._cost_base.shape, dtype=bool)
-            fail_off = np.zeros(self._cost_base.shape, dtype=bool)
-            fail_on[box] = self.pixels.on[box] & (base_box > 0.0)
-            fail_off[box] = self.pixels.off[box] & (base_box >= 0.0)
-            cost = float(
-                np.maximum(base_box, 0.0, out=self._field_scratch).sum()
-            )
-        else:
-            base = self._cost_base
-            fail_on = self.pixels.on & (base > 0.0)
-            fail_off = self.pixels.off & (base >= 0.0)
-            cost = float(np.maximum(base, 0.0).sum())
+        r0, r1, c0, c1 = self._box
+        box = (slice(r0, r1), slice(c0, c1))
+        base_box = self._cost_base[box]
+        fail_on = np.zeros(self._cost_base.shape, dtype=bool)
+        fail_off = np.zeros(self._cost_base.shape, dtype=bool)
+        fail_on[box] = self.pixels.on[box] & (base_box > 0.0)
+        fail_off[box] = self.pixels.off[box] & (base_box >= 0.0)
+        cost = float(np.maximum(base_box, 0.0, out=self._field_scratch).sum())
         return FailureReport(
             fail_on=fail_on,
             fail_off=fail_off,
@@ -209,35 +184,6 @@ class RefinementState:
             _count_on=int(np.count_nonzero(fail_on)),
             _count_off=int(np.count_nonzero(fail_off)),
         )
-
-    def window_cost(
-        self, window: tuple[slice, slice], total_window: np.ndarray
-    ) -> float:
-        """Eq. 5 cost restricted to one index window.
-
-        ``total_window`` is the (hypothetical or current) I_tot values on
-        that window, so candidate moves can be priced without mutating
-        the map.
-        """
-        clamped = total_window * self._cost_sign[window]
-        clamped -= self._cost_bias[window]
-        np.maximum(clamped, 0.0, out=clamped)
-        return float(clamped.sum())
-
-    def score_move_patch(
-        self, window: tuple[slice, slice], patch_delta: np.ndarray
-    ) -> float:
-        """Eq. 5 cost of ``I_tot + patch_delta`` on the window.
-
-        Destroys ``patch_delta`` (it becomes the clamped cost field) so
-        the pricing loops run entirely in-place.  Both pricing paths
-        run exactly this operation sequence, which is what makes their
-        Δcosts bit-identical: same kernels, same order, same shapes.
-        """
-        patch_delta *= self._cost_sign[window]
-        patch_delta += self._cost_base[window]
-        np.maximum(patch_delta, 0.0, out=patch_delta)
-        return float(patch_delta.sum())
 
     def patch_bound(self) -> float:
         """Upper bound on |ΔI| of any single-pitch edge move, anywhere.
@@ -263,55 +209,17 @@ class RefinementState:
 
         int32 is plenty (counts are bounded by the pixel count).  The
         buffer is reused across passes and only valid until the next
-        call; its first row/column stay zero.  Cropped states fill the
-        box only: outside it, base ≡ 0 > −patch_bound, so those pixels
-        count as "active", but crop_to_active consumes only
-        *differences* of the prefix counts, and every candidate window
-        lies inside the active mask (gather/mutation guards), where
-        box-local and full prefix counts differ by a constant per
-        row/column that cancels.
+        call; its first row/column stay zero.  Only the field box is
+        filled: outside it, base ≡ 0 > −patch_bound, so those pixels
+        count as "active", but the crop consumes only *differences* of
+        the prefix counts, and every candidate window lies inside the
+        active mask (gather/mutation guards), where box-local and full
+        prefix counts differ by a constant per row/column that cancels.
         """
         return get_backend().active_integral(
-            self._cost_base, self._field_box(), -self.patch_bound(),
+            self._cost_base, self._box, -self.patch_bound(),
             self._active_integral,
         )
-
-    def _field_box(self) -> tuple[int, int, int, int]:
-        """Pixel box the per-iteration fields cover: crop box or grid."""
-        if self._crop is not None:
-            return self._crop
-        ny, nx = self._cost_base.shape
-        return (0, ny, 0, nx)
-
-    @staticmethod
-    def crop_to_active(
-        active_integral: np.ndarray, window: tuple[slice, slice]
-    ) -> tuple[int, int, int, int] | None:
-        """Row/column sub-range of ``window`` holding all active pixels.
-
-        Returns ``(r0, r1, c0, c1)`` offsets within the window, or
-        ``None`` when the window contains no active pixel (the move's
-        Δcost is exactly zero).  Marginal counts come straight from the
-        2-D prefix sums, so the crop costs two small 1-D subtractions.
-        """
-        ys, xs = window
-        rowcum = (
-            active_integral[ys.start : ys.stop + 1, xs.stop]
-            - active_integral[ys.start : ys.stop + 1, xs.start]
-        )
-        if rowcum[-1] == rowcum[0]:
-            return None
-        # ndarray.searchsorted skips the np.searchsorted dispatch layer;
-        # this runs four times per candidate.
-        r0 = int(rowcum.searchsorted(rowcum[0], side="right")) - 1
-        r1 = int(rowcum.searchsorted(rowcum[-1], side="left"))
-        colcum = (
-            active_integral[ys.stop, xs.start : xs.stop + 1]
-            - active_integral[ys.start, xs.start : xs.stop + 1]
-        )
-        c0 = int(colcum.searchsorted(colcum[0], side="right")) - 1
-        c1 = int(colcum.searchsorted(colcum[-1], side="left"))
-        return r0, r1, c0, c1
 
     def cost_integral(self) -> np.ndarray:
         """Prefix sums of the per-pixel Eq. 5 cost field.
@@ -323,110 +231,35 @@ class RefinementState:
         iteration is enough; GreedyShotEdgeAdjustment does so itself).
 
         The buffer (zero first row/column) is reused and only valid
-        until the next call.  Cost is exactly 0.0 outside a cropped
-        state's box (S = 0 there), so the prefix sums only cover the
-        box: entries above or left of it are exact zeros from the
-        buffer's init, and any lookup whose corner lands beyond the box
-        is clamped to the box edge (same value — nothing accumulates
-        past it).  Work per iteration scales with the seam-band bounding
-        box, not the grid.
+        until the next call.  Cost is exactly 0.0 outside the field box
+        (S = 0 there), so the prefix sums only cover the box: entries
+        above or left of it are exact zeros from the buffer's init, and
+        any lookup whose corner lands beyond the box is clamped to the
+        box edge (same value — nothing accumulates past it).  Work per
+        iteration scales with the box, not the grid.
         """
         return get_backend().cost_integral(
-            self._cost_base, self._field_box(), self._cost_integral
+            self._cost_base, self._box, self._cost_integral
         )
 
     def window_cost_from_integral(
         self, integral: np.ndarray, window: tuple[slice, slice]
     ) -> float:
-        ys, xs = window
-        y0, y1 = ys.start, ys.stop
-        x0, x1 = xs.start, xs.stop
-        if self._crop is not None:
-            # Clamp to the crop box: the cost field is exactly zero past
-            # it, so the true prefix value at any outside corner equals
-            # the value at the clamped edge (which the cropped buffer
-            # holds; beyond it the buffer is stale zeros).
-            r1, c1 = self._crop[1], self._crop[3]
-            y0, y1 = min(y0, r1), min(y1, r1)
-            x0, x1 = min(x0, c1), min(x1, c1)
+        """Current Eq. 5 cost of ``window`` from :meth:`cost_integral`.
+
+        Corners past the field box are clamped to its edge: the cost
+        field is exactly zero there, so the true prefix value equals the
+        value at the edge (beyond it the buffer holds stale zeros).
+        """
+        r1, c1 = self._box[1], self._box[3]
+        y0, y1 = min(window[0].start, r1), min(window[0].stop, r1)
+        x0, x1 = min(window[1].start, c1), min(window[1].stop, c1)
         return float(
             integral[y1, x1]
             - integral[y0, x1]
             - integral[y1, x0]
             + integral[y0, x0]
         )
-
-    def edge_move_delta_cost(
-        self,
-        index: int,
-        edge: str,
-        delta: float,
-        cost_integral: np.ndarray | None = None,
-        active_integral: np.ndarray | None = None,
-    ) -> float | None:
-        """Cost change of moving one edge of shot ``index`` by ``delta``.
-
-        Returns ``None`` for invalid moves (shot would fall below L_min or
-        invert).  Does not modify the state.  ``cost_integral`` (from
-        :meth:`cost_integral`, current as of the last committed change)
-        makes the old-cost side an O(1) lookup; ``active_integral`` (from
-        :meth:`active_integral`, only valid for ``|delta| ≤ Δp``) crops
-        the scoring to the active sub-window.
-        """
-        shot = self.shots[index]
-        try:
-            candidate = shot.moved_edge(edge, delta)
-        except ValueError:
-            return None
-        if not candidate.meets_min_size(self.spec.lmin):
-            return None
-        if self.active_mask is not None and not self.mutation_allowed(
-            self.imap.edge_move_window(shot, candidate, edge)
-        ):
-            return None
-        window, patch_delta = self.imap.edge_move_delta(shot, candidate, edge)
-        if active_integral is not None:
-            crop = self.crop_to_active(active_integral, window)
-            if crop is None:
-                return 0.0
-            r0, r1, c0, c1 = crop
-            ys, xs = window
-            window = (
-                slice(ys.start + r0, ys.start + r1),
-                slice(xs.start + c0, xs.start + c1),
-            )
-            # Contiguous copy so the clamped sum reduces in the same
-            # order as the batched engine's scratch segment.
-            patch_delta = np.ascontiguousarray(patch_delta[r0:r1, c0:c1])
-        if cost_integral is not None:
-            old_cost = self.window_cost_from_integral(cost_integral, window)
-        else:
-            old_cost = self.window_cost(window, self.imap.total[window])
-        return self.score_move_patch(window, patch_delta) - old_cost
-
-    # -- batched pricing ----------------------------------------------------
-
-    def make_edge_move_candidate(
-        self, index: int, edge: str, delta: float
-    ) -> EdgeMoveCandidate | None:
-        """Validate one edge move and package it for batched pricing.
-
-        Returns ``None`` under the same conditions for which
-        :meth:`edge_move_delta_cost` does (inverted shot or L_min
-        violation), so the two pricing paths see identical candidates.
-        """
-        shot = self.shots[index]
-        try:
-            candidate = shot.moved_edge(edge, delta)
-        except ValueError:
-            return None
-        if not candidate.meets_min_size(self.spec.lmin):
-            return None
-        window = self.imap.edge_move_window(shot, candidate, edge)
-        if not self.mutation_allowed(window):
-            return None
-        keys = self.imap.edge_move_profile_keys(shot, candidate, edge, window)
-        return EdgeMoveCandidate(index, edge, delta, window, keys)
 
     def edge_pricing_window(
         self, shot: Rect, edge: str
@@ -461,87 +294,85 @@ class RefinementState:
             grid.x_span_to_slice(shot.xbl, shot.xtr, reach),
         )
 
-    def _build_move_geometry(self, shot: Rect) -> tuple:
-        """Pricing regions, windows and profile keys of a shot's ±Δp
-        edge moves.
+    def _move_geometry(self, shot: Rect) -> tuple:
+        """The ±Δp edge moves of ``shot``, from the per-rectangle memo.
 
-        Computed with direct scalar math — per candidate this is the
-        equivalent of ``moved_edge`` + ``meets_min_size`` +
-        ``edge_move_window`` without intermediate :class:`Rect`
-        allocations — and memoized per shot rectangle (pure geometry, so
-        no invalidation is ever needed; see :meth:`gather_edge_moves`).
+        One entry per rectangle: ``(edge, region, moves)`` per edge, with
+        ``region`` the edge's pricing window as ``(y0, y1, x0, x1)``
+        clamped to the field box, and ``moves`` the ``(delta, window,
+        (k_old, k_new, k_fixed))`` of each ±Δp move that keeps the shot
+        at or above L_min.  ``window`` is the narrow band where the move
+        changes I_tot and the keys name the profiles of its separable
+        patch.  Pricing and the commit both read this entry, so the
+        committed patch is the priced patch by construction.
+
+        Built with direct scalar math — no intermediate :class:`Rect` per
+        candidate — and memoized per shot rectangle: pure geometry, so
+        no invalidation is ever needed.
         """
+        key = (shot.xbl, shot.ybl, shot.xtr, shot.ytr)
+        memo = self._move_memo
+        groups = memo.get(key)
+        if groups is not None:
+            return groups
+        if len(memo) >= 4096:
+            memo.clear()
         pitch = self.spec.pitch
         lmin = self.spec.lmin
         grid = self.imap.grid
         reach = self.imap.reach
+        box_rows, box_cols = self._box[1], self._box[3]
         xbl, ybl, xtr, ytr = shot.xbl, shot.ybl, shot.xtr, shot.ytr
         groups: list[tuple] = []
-        if ytr - ybl >= lmin:
-            for edge in ("left", "right"):
-                region = self.edge_pricing_window(shot, edge)
-                rows = region[0]
-                k_fixed = ("y", ybl, ytr, rows.start, rows.stop)
-                coord = xbl if edge == "left" else xtr
-                moves: list[tuple] = []
-                for delta in (pitch, -pitch):
-                    moved = coord + delta
-                    if edge == "left":
-                        new_lo, new_hi = moved, xtr
-                    else:
-                        new_lo, new_hi = xbl, moved
-                    if new_hi - new_lo < lmin:
-                        continue
-                    cols = grid.x_span_to_slice(
-                        min(coord, moved), max(coord, moved), reach
-                    )
-                    key_cols = (cols.start, cols.stop)
-                    moves.append((
-                        delta, (rows, cols),
-                        (
-                            ("x", xbl, xtr) + key_cols,
-                            ("x", new_lo, new_hi) + key_cols,
-                            k_fixed,
-                        ),
-                    ))
-                groups.append((edge, region, tuple(moves)))
-        if xtr - xbl >= lmin:
-            for edge in ("bottom", "top"):
-                region = self.edge_pricing_window(shot, edge)
-                cols = region[1]
-                k_fixed = ("x", xbl, xtr, cols.start, cols.stop)
-                coord = ybl if edge == "bottom" else ytr
-                moves = []
-                for delta in (pitch, -pitch):
-                    moved = coord + delta
-                    if edge == "bottom":
-                        new_lo, new_hi = moved, ytr
-                    else:
-                        new_lo, new_hi = ybl, moved
-                    if new_hi - new_lo < lmin:
-                        continue
-                    rows = grid.y_span_to_slice(
-                        min(coord, moved), max(coord, moved), reach
-                    )
-                    key_rows = (rows.start, rows.stop)
-                    moves.append((
-                        delta, (rows, cols),
-                        (
-                            ("y", ybl, ytr) + key_rows,
-                            ("y", new_lo, new_hi) + key_rows,
-                            k_fixed,
-                        ),
-                    ))
-                groups.append((edge, region, tuple(moves)))
-        return tuple(groups)
+        for edge in EDGES:
+            # Left/right moves change the x profile, bottom/top the y one;
+            # the other axis is fixed and must already meet L_min.
+            horizontal = edge in ("left", "right")
+            if horizontal:
+                axis, lo, hi, to_slice = "x", xbl, xtr, grid.x_span_to_slice
+                fixed_axis = ("y", ybl, ytr)
+            else:
+                axis, lo, hi, to_slice = "y", ybl, ytr, grid.y_span_to_slice
+                fixed_axis = ("x", xbl, xtr)
+            if fixed_axis[2] - fixed_axis[1] < lmin:
+                continue
+            ys, xs = self.edge_pricing_window(shot, edge)
+            fixed = ys if horizontal else xs
+            k_fixed = fixed_axis + (fixed.start, fixed.stop)
+            low_edge = edge in ("left", "bottom")
+            coord = lo if low_edge else hi
+            moves: list[tuple] = []
+            for delta in (pitch, -pitch):
+                moved = coord + delta
+                new_lo, new_hi = (moved, hi) if low_edge else (lo, moved)
+                if new_hi - new_lo < lmin:
+                    continue
+                span = to_slice(min(coord, moved), max(coord, moved), reach)
+                ends = (span.start, span.stop)
+                moves.append((
+                    delta,
+                    (fixed, span) if horizontal else (span, fixed),
+                    (
+                        (axis, lo, hi) + ends,
+                        (axis, new_lo, new_hi) + ends,
+                        k_fixed,
+                    ),
+                ))
+            region = (
+                min(ys.start, box_rows), min(ys.stop, box_rows),
+                min(xs.start, box_cols), min(xs.stop, box_cols),
+            )
+            groups.append((edge, region, tuple(moves)))
+        groups = memo[key] = tuple(groups)
+        return groups
 
     def gather_edge_moves(
         self, cost_integral: np.ndarray
     ) -> list[EdgeMoveCandidate]:
-        """All valid ±Δp edge-move candidates worth pricing, in the same
-        (shot, edge, +Δp, −Δp) order the scalar loop enumerates.
+        """All valid ±Δp edge-move candidates worth pricing, in (shot,
+        edge, +Δp, −Δp) order.
 
-        Candidate geometry comes from a per-rectangle memo (most shots
+        Candidate geometry comes from the per-rectangle memo (most shots
         do not move between greedy passes); only the skip test — edges
         whose pricing region carries no failure cost can never yield an
         accepted move — reads the current cost integral.  In
@@ -551,26 +382,11 @@ class RefinementState:
         only inflate the candidate count the seam stitch is supposed to
         keep proportional to the seam area).
         """
-        memo = self._gather_memo
         mask = self.active_mask
-        crop = self._crop
         candidates: list[EdgeMoveCandidate] = []
         append = candidates.append
         for index, shot in enumerate(self.shots):
-            key = (shot.xbl, shot.ybl, shot.xtr, shot.ytr)
-            groups = memo.get(key)
-            if groups is None:
-                if len(memo) >= 4096:
-                    memo.clear()
-                groups = memo[key] = self._build_move_geometry(shot)
-            for edge, (ys, xs), moves in groups:
-                y0, y1, x0, x1 = ys.start, ys.stop, xs.start, xs.stop
-                if crop is not None:
-                    # Pricing regions reach one pitch + blur outside the
-                    # shot and can leave the crop box; clamp like
-                    # window_cost_from_integral (zero cost past the box).
-                    y0, y1 = min(y0, crop[1]), min(y1, crop[1])
-                    x0, x1 = min(x0, crop[3]), min(x1, crop[3])
+            for edge, (y0, y1, x0, x1), moves in self._move_geometry(shot):
                 if (
                     cost_integral[y1, x1]
                     - cost_integral[y0, x1]
@@ -590,61 +406,26 @@ class RefinementState:
         cost_integral: np.ndarray,
         active_integral: np.ndarray,
     ) -> np.ndarray:
-        """Δcost of every candidate, priced with one batched LUT pass.
+        """Δcost of every candidate, priced in one batch.
 
-        Equivalent to calling :meth:`edge_move_delta_cost` per candidate
-        (the scalar oracle) but structured for throughput: all 1-D
-        profile arguments of the sweep are concatenated and interpolated
-        in a single LUT evaluation (via the profile cache), and each
-        candidate's windowed Eq. 5 Δcost is then scored from cached
-        profiles.  When the kernel backend provides compiled pricing,
-        cropping, scoring and the old-cost lookup of the whole batch run
-        in one call
-        (:meth:`~repro.kernels.backend.KernelBackend.clamped_band_sums`);
-        otherwise (no C compiler, or a backend without compiled pricing)
-        each candidate is scored by the per-candidate loop.  Both are
-        bit-identical to the scalar path — the profiles, patches and
-        window costs go through the same elementwise operations and
-        per-candidate pairwise sums.
-        """
-        backend = get_backend()
-        if backend.compiled_pricing:
-            return self._price_edge_moves_compiled(
-                candidates, cost_integral, active_integral, backend
-            )
-        obs = get_recorder()
-        obs.incr("kernels.band_loop_batches")
-        if backend.pricing_fallback is not None:
-            obs.incr("kernels.compiled_fallback")
-        return self._price_edge_moves_loop(
-            candidates, cost_integral, active_integral
-        )
-
-    def _price_edge_moves_compiled(
-        self,
-        candidates: list[EdgeMoveCandidate],
-        cost_integral: np.ndarray,
-        active_integral: np.ndarray,
-        backend,
-    ) -> np.ndarray:
-        """Batch scoring via the backend's compiled clamped-sum kernel.
-
-        The per-candidate Python work shrinks to gathering the two 1-D
-        profile factors whose outer product is the candidate's patch;
-        the kernel crops each window to its active sub-band, scores it
-        and subtracts the old cost.
+        All 1-D profile arguments of the sweep are concatenated and
+        interpolated in a single LUT evaluation (via the profile cache);
+        the two separable factors of each candidate's patch are gathered,
+        and one :meth:`~repro.kernels.backend.KernelBackend.clamped_band_sums`
+        call crops every window to its active sub-band, scores it and
+        subtracts its current cost — in the compiled kernel, or in the
+        base-class NumPy loop when the kernel is unavailable (same bits).
         """
         imap = self.imap
-        ncand = len(candidates)
-        get_recorder().incr("intensity.edge_deltas", ncand)
-        if not ncand:
-            return np.zeros(0, dtype=np.float64)
+        get_recorder().incr("intensity.edge_deltas", len(candidates))
         imap.ensure_profiles(key for c in candidates for key in c.keys)
         delta_profile = imap.delta_profile
-        fixed_profile = imap.cached_profile
+        fixed_profile = imap.profile
         bounds: list[int] = []
-        row_parts: list[np.ndarray] = []
-        col_parts: list[np.ndarray] = []
+        # The empty leading part keeps np.concatenate valid for a batch
+        # with no candidates, which still goes to the backend.
+        row_parts: list[np.ndarray] = [_EMPTY]
+        col_parts: list[np.ndarray] = [_EMPTY]
         for _, edge, _, (ys, xs), (k_old, k_new, k_fixed) in candidates:
             bounds += (ys.start, ys.stop, xs.start, xs.stop)
             delta = delta_profile(k_old, k_new)
@@ -654,8 +435,8 @@ class RefinementState:
             else:
                 row_parts.append(delta)
                 col_parts.append(fixed_profile(k_fixed))
-        return backend.clamped_band_sums(
-            np.array(bounds, dtype=np.int64).reshape(ncand, 4),
+        return get_backend().clamped_band_sums(
+            np.array(bounds, dtype=np.int64).reshape(-1, 4),
             np.concatenate(row_parts),
             np.concatenate(col_parts),
             self._cost_sign,
@@ -663,97 +444,6 @@ class RefinementState:
             active_integral,
             cost_integral,
         )
-
-    def _price_edge_moves_loop(
-        self,
-        candidates: list[EdgeMoveCandidate],
-        cost_integral: np.ndarray,
-        active_integral: np.ndarray,
-    ) -> np.ndarray:
-        """Per-candidate scoring loop (the pre-kernel batched engine).
-
-        The oracle the compiled kernel is gated against, and the
-        fallback when the compiled kernel is unavailable.
-        """
-        imap = self.imap
-        get_recorder().incr("intensity.edge_deltas", len(candidates))
-        imap.ensure_profiles(key for c in candidates for key in c.keys)
-        delta_profile = imap.delta_profile
-        fixed_profile = imap.cached_profile
-        sign = self._cost_sign
-        base = self._cost_base
-        maximum = np.maximum
-        multiply = np.multiply
-        scratch = self._scratch
-        ncand = len(candidates)
-        costs = np.zeros(ncand, dtype=np.float64)
-        # Deferred old-cost lookup: final window corners per candidate,
-        # gathered from the cost integral in one vectorized pass after
-        # the loop.  All-zero corners (skipped candidates) contribute a
-        # zero old cost by construction.
-        wr0 = np.zeros(ncand, dtype=np.intp)
-        wr1 = np.zeros(ncand, dtype=np.intp)
-        wc0 = np.zeros(ncand, dtype=np.intp)
-        wc1 = np.zeros(ncand, dtype=np.intp)
-        for i, cand in enumerate(candidates):
-            _, edge, _, (ys, xs), (k_old, k_new, k_fixed) = cand
-            # crop_to_active, inlined: this runs once per candidate and
-            # the call/tuple overhead is measurable.
-            y_lo = ys.start
-            x_lo = xs.start
-            rowcum = (
-                active_integral[y_lo : ys.stop + 1, xs.stop]
-                - active_integral[y_lo : ys.stop + 1, x_lo]
-            )
-            if rowcum[-1] == rowcum[0]:
-                continue
-            r0 = int(rowcum.searchsorted(rowcum[0], side="right")) - 1
-            r1 = int(rowcum.searchsorted(rowcum[-1], side="left"))
-            colcum = (
-                active_integral[ys.stop, x_lo : xs.stop + 1]
-                - active_integral[y_lo, x_lo : xs.stop + 1]
-            )
-            c0 = int(colcum.searchsorted(colcum[0], side="right")) - 1
-            c1 = int(colcum.searchsorted(colcum[-1], side="left"))
-            ys = slice(y_lo + r0, y_lo + r1)
-            xs = slice(x_lo + c0, x_lo + c1)
-            delta = delta_profile(k_old, k_new)
-            p_fixed = fixed_profile(k_fixed)
-            rows = r1 - r0
-            cols = c1 - c0
-            n = rows * cols
-            if scratch.size < n:
-                scratch = np.empty(n, dtype=np.float64)
-                self._scratch = scratch
-            # The patch is materialized into a reused scratch buffer; the
-            # 2-D view has the same shape/contiguity as the (cropped)
-            # array the scalar path scores, and the ops below mirror
-            # score_move_patch exactly, so the Δcost is bit-identical.
-            seg = scratch[:n].reshape(rows, cols)
-            window = (ys, xs)
-            if edge in ("left", "right"):
-                multiply(p_fixed[r0:r1, None], delta[None, c0:c1], out=seg)
-            else:
-                multiply(delta[r0:r1, None], p_fixed[None, c0:c1], out=seg)
-            seg *= sign[window]
-            seg += base[window]
-            maximum(seg, 0.0, out=seg)
-            costs[i] = seg.sum()
-            wr0[i] = ys.start
-            wr1[i] = ys.stop
-            wc0[i] = xs.start
-            wc1[i] = xs.stop
-        if ncand:
-            # Same A − B − C + D order as window_cost_from_integral, in
-            # float64 — elementwise results match the scalar lookups bit
-            # for bit.
-            costs -= (
-                cost_integral[wr1, wc1]
-                - cost_integral[wr0, wc1]
-                - cost_integral[wr1, wc0]
-                + cost_integral[wr0, wc0]
-            )
-        return costs
 
     # -- mutation -----------------------------------------------------------
 
@@ -771,21 +461,39 @@ class RefinementState:
         return bool(self.active_mask[window].all())
 
     def apply_edge_move(self, index: int, edge: str, delta: float) -> bool:
-        """Commit an edge move; returns False if it became invalid."""
+        """Commit one ±Δp edge move; returns False if it is not valid.
+
+        The band update is the memo entry :meth:`gather_edge_moves`
+        prices for the shot's current rectangle — same window, same
+        profiles, same outer product — so an accepted Δcost is the
+        realized cost change.  A move with no entry (the shot would fall
+        below L_min or invert) or whose window leaves the active mask is
+        refused.
+        """
+        if abs(delta) != self.spec.pitch:
+            raise ValueError(f"edge moves are ±{self.spec.pitch}, not {delta}")
         shot = self.shots[index]
-        try:
-            candidate = shot.moved_edge(edge, delta)
-        except ValueError:
+        entry = next(
+            (
+                (window, keys)
+                for move_edge, _, moves in self._move_geometry(shot)
+                if move_edge == edge
+                for move_delta, window, keys in moves
+                if move_delta == delta
+            ),
+            None,
+        )
+        if entry is None or not self.mutation_allowed(entry[0]):
             return False
-        if not candidate.meets_min_size(self.spec.lmin):
-            return False
-        if self.active_mask is not None and not self.mutation_allowed(
-            self.imap.edge_move_window(shot, candidate, edge)
-        ):
-            return False
-        window = self.imap.apply_edge_move(shot, candidate, edge)
+        window, (k_old, k_new, k_fixed) = entry
+        profile = self.imap.profile
+        old, new, fixed = profile(k_old), profile(k_new), profile(k_fixed)
+        if edge == "left" or edge == "right":
+            self.imap.add_separable(window, fixed, new - old)
+        else:
+            self.imap.add_separable(window, new - old, fixed)
         self._refresh_cost_base(window)
-        self.shots[index] = candidate
+        self.shots[index] = shot.moved_edge(edge, delta)
         return True
 
     def replace_shot(self, index: int, new: Rect) -> None:

@@ -267,7 +267,7 @@ class WindowedFracturer(Fracturer):
         obs.incr("windowed.seam_shots", len(movable))
         obs.incr("windowed.frozen_shots", len(frozen))
         # Stitch cost-field work scales with the seam-band bounding box
-        # (kernel backends with crop_stitch_field), not the grid; record
+        # (the restricted state's field box), not the grid; record
         # both areas so the scaling is visible in traces and manifests.
         seam_px = int(np.count_nonzero(active_mask))
         grid_px = int(active_mask.size)

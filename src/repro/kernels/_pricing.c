@@ -6,8 +6,8 @@
  *                         (NumPy's pairwise summation: plain pairwise over
  *                         n, 8-way unrolled leaves of at most 128 items,
  *                         added to a 0.0 initial value);
- *   repro_price_bands     RefinementState._price_edge_moves_loop with both
- *                         prefix-sum integrals supplied;
+ *   repro_price_bands     the per-candidate loop of
+ *                         KernelBackend.clamped_band_sums;
  *   repro_cost_integral   np.maximum(field, 0.0) followed by np.cumsum
  *                         along axis 0, then along axis 1;
  *   repro_active_integral (field > threshold) followed by the same two
@@ -77,8 +77,8 @@ static inline double clamp0(double v)
 
 /* Sub-range [lo, hi) of a non-decreasing prefix-count vector cum[0..n]
  * holding every increment: lo is the last index equal to cum[0], hi the
- * first index equal to cum[n] (the two searchsorted calls of
- * RefinementState.crop_to_active). */
+ * first index equal to cum[n] (the two searchsorted calls of the
+ * KernelBackend.clamped_band_sums crop). */
 static void active_span(const int32_t *cum, ptrdiff_t n,
                         ptrdiff_t *lo, ptrdiff_t *hi)
 {

@@ -19,19 +19,18 @@ implementation without touching call sites:
 ``clamped_band_sums``
     The signed-clamp Eq. 5 scoring of a whole batch of candidate edge
     moves: crop each window to its active sub-band, score the separable
-    patch, pairwise-sum it and subtract the window's current cost.  The
-    result must be bit-identical to the per-candidate loop of
-    ``RefinementState._price_edge_moves_loop``.
+    patch, pairwise-sum it and subtract the window's current cost.
 
 ``cost_integral`` / ``active_integral``
-    The two per-iteration prefix-sum fields of the greedy pass, over the
-    full grid or the stitch crop box.  The base class implements them
-    with ``np.cumsum``; overrides must reproduce those bits.
+    The two per-iteration prefix-sum fields of the greedy pass, over a
+    state's field box (the stitch crop box or the whole grid).
 
-Capability flags (``compiled_pricing``, ``crop_stitch_field``) let a
-backend opt out of a kernel; call sites then fall back to the NumPy
-loop path and the full-grid fields, which double as the oracles in the
-equivalence tests.  The base class itself opts out of both.
+The base class implements the three pricing kernels in plain NumPy — a
+per-candidate loop and ``np.cumsum`` — and an override must reproduce
+those bits.  There are no capability flags: an override that cannot run
+(the compiled kernel failed to build) calls ``super()`` inside the same
+method, so every call site has one path.  The oracles the equivalence
+tests gate all of this against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -40,22 +39,18 @@ from typing import Any
 
 import numpy as np
 
+from repro.obs import get_recorder
+
 
 class KernelBackend:
-    """Base class: capability flags + the kernel entry points."""
+    """Base class: the kernel entry points, NumPy pricing included."""
 
     #: Name recorded in manifests; subclasses override.
     name = "base"
-    #: When True, ``RefinementState.price_edge_moves`` routes the batch
-    #: through :meth:`clamped_band_sums` instead of the Python loop.
-    compiled_pricing = False
-    #: Why a backend that prices through :meth:`clamped_band_sums` fell
-    #: back to the loop (``"no_compiler"``, ``"build_failed"``,
-    #: ``"selfcheck_mismatch"``); ``None`` when nothing fell back.
+    #: Why a compiled backend fell back to the NumPy loop
+    #: (``"no_compiler"``, ``"build_failed"``, ``"selfcheck_mismatch"``);
+    #: ``None`` when nothing fell back.
     pricing_fallback: str | None = None
-    #: When True, a region-restricted ``RefinementState`` crops its
-    #: per-iteration cost/active fields to the active-mask bounding box.
-    crop_stitch_field = False
 
     def label_components(self, mask: np.ndarray) -> tuple[np.ndarray, int]:
         raise NotImplementedError
@@ -89,11 +84,54 @@ class KernelBackend:
         (``x1 − x0`` entries of ``col_vals``), both laid out
         candidate-major.  The window is cropped to its active pixels
         (``active_integral``), the patch scored as ``max(sign·patch +
-        base, 0)`` and summed, and the window's current cost (from
-        ``cost_integral``) subtracted — bit-identical to the
-        per-candidate pricing loop.
+        base, 0)`` and pairwise-summed, and the window's current cost
+        (from ``cost_integral``) subtracted.  A window with no active
+        pixel has Δcost exactly 0.  Each batch counts one
+        ``kernels.band_loop_batches``.
         """
-        raise NotImplementedError
+        get_recorder().incr("kernels.band_loop_batches")
+        ncand = windows.shape[0]
+        costs = np.zeros(ncand, dtype=np.float64)
+        # Final (cropped) window corners per candidate, looked up in the
+        # cost integral in one vectorized pass after the loop; all-zero
+        # corners (no active pixel) give a zero old cost.
+        corners = np.zeros((4, ncand), dtype=np.intp)
+        areas = (windows[:, 1] - windows[:, 0]) * (windows[:, 3] - windows[:, 2])
+        scratch = np.empty(int(areas.max()) if ncand else 0, dtype=np.float64)
+        r_off = c_off = 0
+        for i, (y0, y1, x0, x1) in enumerate(windows.tolist()):
+            row = row_vals[r_off : r_off + y1 - y0]
+            col = col_vals[c_off : c_off + x1 - x0]
+            r_off += y1 - y0
+            c_off += x1 - x0
+            # Row/column sub-range holding every active pixel, from the
+            # marginal prefix counts.
+            rowcum = active_integral[y0 : y1 + 1, x1] - active_integral[y0 : y1 + 1, x0]
+            if rowcum[-1] == rowcum[0]:
+                continue
+            r0 = int(rowcum.searchsorted(rowcum[0], side="right")) - 1
+            r1 = int(rowcum.searchsorted(rowcum[-1], side="left"))
+            colcum = active_integral[y1, x0 : x1 + 1] - active_integral[y0, x0 : x1 + 1]
+            c0 = int(colcum.searchsorted(colcum[0], side="right")) - 1
+            c1 = int(colcum.searchsorted(colcum[-1], side="left"))
+            # The patch lives in a contiguous scratch segment, so its
+            # pairwise sum is the one the compiled kernel reproduces.
+            seg = scratch[: (r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+            np.multiply(row[r0:r1, None], col[None, c0:c1], out=seg)
+            window = (slice(y0 + r0, y0 + r1), slice(x0 + c0, x0 + c1))
+            seg *= sign[window]
+            seg += base[window]
+            np.maximum(seg, 0.0, out=seg)
+            costs[i] = seg.sum()
+            corners[:, i] = (y0 + r0, y0 + r1, x0 + c0, x0 + c1)
+        wr0, wr1, wc0, wc1 = corners
+        costs -= (
+            cost_integral[wr1, wc1]
+            - cost_integral[wr0, wc1]
+            - cost_integral[wr1, wc0]
+            + cost_integral[wr0, wc0]
+        )
+        return costs
 
     def cost_integral(
         self, field: np.ndarray, box: tuple[int, int, int, int], out: np.ndarray
@@ -129,7 +167,6 @@ class KernelBackend:
         """Kernel-variant record for manifests and telemetry."""
         return {
             "labeling": "none",
-            "pricing": "compiled" if self.compiled_pricing else "loop",
+            "pricing": "loop",
             "pricing_fallback": self.pricing_fallback,
-            "stitch_field": "cropped" if self.crop_stitch_field else "full",
         }

@@ -9,10 +9,11 @@ the numbering the per-pixel oracle produces.
 
 Pricing (``clamped_band_sums``) and the two prefix-sum fields run in
 the compiled kernel of :mod:`repro.kernels.compiled`, which reproduces
-the NumPy loop and ``np.cumsum`` bit for bit.  When the kernel cannot
-be built or fails its load-time self-check, ``compiled_pricing`` is False
-(the reason is in ``pricing_fallback``) and the call sites use those
-NumPy paths instead.
+the base class's NumPy loop and ``np.cumsum`` bit for bit.  When the
+kernel cannot be built or fails its load-time self-check, each method
+falls back to the base class (the reason is in ``pricing_fallback``,
+and every fallen-back pricing batch counts one
+``kernels.compiled_fallback``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ def _merge_run_graph(n_runs: int, edges_a: np.ndarray, edges_b: np.ndarray) -> n
 
 class NumpyBackend(KernelBackend):
     name = "numpy"
-    crop_stitch_field = True
 
     def __init__(self) -> None:
         self._loaded: tuple[compiled.PricingKernel | None, str | None] | None = None
@@ -47,10 +47,6 @@ class NumpyBackend(KernelBackend):
         if self._loaded is None:
             self._loaded = compiled.kernel()
         return self._loaded[0]
-
-    @property
-    def compiled_pricing(self) -> bool:
-        return self._kernel() is not None
 
     @property
     def pricing_fallback(self) -> str | None:
@@ -140,9 +136,13 @@ class NumpyBackend(KernelBackend):
     ) -> np.ndarray:
         pk = self._kernel()
         if pk is None:
-            raise RuntimeError(
-                f"compiled pricing kernel unavailable ({self.pricing_fallback})"
+            get_recorder().incr("kernels.compiled_fallback")
+            return super().clamped_band_sums(
+                windows, row_vals, col_vals, sign, base,
+                active_integral, cost_integral,
             )
+        if not len(windows):
+            return np.zeros(0, dtype=np.float64)
         # The kernel walks raw buffers: check every window lies inside
         # the grid and the factor buffers hold exactly one row (column)
         # factor entry per window row (column).
@@ -199,9 +199,8 @@ class NumpyBackend(KernelBackend):
     def describe(self) -> dict[str, str | None]:
         return {
             "labeling": "run_length_row_merge",
-            "pricing": "compiled" if self.compiled_pricing else "loop",
+            "pricing": "loop" if self.pricing_fallback else "compiled",
             "pricing_fallback": self.pricing_fallback,
-            "stitch_field": "bbox_cropped",
         }
 
 

@@ -7,6 +7,7 @@ from repro.ebeam.intensity import shot_intensity
 from repro.ebeam.intensity_map import IntensityMap
 from repro.geometry.raster import PixelGrid
 from repro.geometry.rect import Rect
+from tests.oracles import edge_move_patch, edge_move_window
 
 SIGMA = 6.25
 
@@ -84,19 +85,14 @@ class TestReplaceAndRebuild:
 
 
 class TestCandidateEvaluation:
-    def test_candidate_total_matches_committed(self, imap):
-        old = Rect(20, 20, 50, 50)
-        new = Rect(20, 20, 51, 50)
-        imap.add(old)
-        window, hypothetical = imap.candidate_total(old, new)
-        imap.replace(old, new)
-        assert np.max(np.abs(hypothetical - imap.total[window])) < 1e-9
+    """The ``Rect``-derived edge-move oracle of ``tests/oracles.py``
+    against the map's own whole-shot updates."""
 
     def test_edge_move_delta_matches_full_difference(self, imap, grid):
         old = Rect(20, 20, 50, 50)
         new = old.moved_edge("right", 1.0)
         imap.add(old)
-        window, delta = imap.edge_move_delta(old, new, "right")
+        window, delta = edge_move_patch(imap, old, new, "right")
         before = imap.total[window].copy()
         imap.replace(old, new)
         assert np.max(np.abs((before + delta) - imap.total[window])) < 1e-9
@@ -104,7 +100,7 @@ class TestCandidateEvaluation:
     def test_edge_move_window_is_narrow(self, imap):
         old = Rect(20, 20, 80, 80)
         new = old.moved_edge("left", 1.0)
-        ys, xs = imap.edge_move_window(old, new, "left")
+        ys, xs = edge_move_window(imap, old, new, "left")
         full_ys, full_xs = imap.window_of(old)
         assert (xs.stop - xs.start) < (full_xs.stop - full_xs.start)
 
@@ -112,15 +108,21 @@ class TestCandidateEvaluation:
         old = Rect(20, 20, 50, 50)
         new = old.moved_edge("top", -1.0)
         imap.add(old)
-        window, delta = imap.edge_move_delta(old, new, "top")
+        window, delta = edge_move_patch(imap, old, new, "top")
         assert delta.max() <= 1e-12  # shrinking only removes dose
         assert delta.min() < -1e-4
 
-
-class TestCopy:
-    def test_copy_is_independent(self, imap):
-        imap.add(Rect(10, 10, 40, 40))
-        clone = imap.copy()
-        clone.add(Rect(50, 50, 80, 80))
-        assert imap.total[65, 65] < 1e-6
-        assert clone.total[65, 65] > 0.9
+    def test_add_separable_adds_outer_product(self, imap):
+        old = Rect(20, 20, 50, 50)
+        new = old.moved_edge("left", -1.0)
+        imap.add(old)
+        window, delta = edge_move_patch(imap, old, new, "left")
+        expect = imap.total.copy()
+        expect[window] += delta
+        ys, xs = window
+        moved = imap.profile(("x", new.xbl, new.xtr, xs.start, xs.stop)) - (
+            imap.profile(("x", old.xbl, old.xtr, xs.start, xs.stop))
+        )
+        fixed = imap.profile(("y", old.ybl, old.ytr, ys.start, ys.stop))
+        imap.add_separable(window, fixed, moved)
+        assert np.array_equal(imap.total, expect)

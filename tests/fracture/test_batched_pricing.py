@@ -26,7 +26,8 @@ from repro.fracture.state import RefinementState
 from repro.geometry.rect import Rect
 from repro.mask.constraints import failure_report
 from repro.obs import TelemetryRecorder, recording
-from tests.oracles import scalar_improving_moves
+from repro.ebeam.intensity_map import IntensityMap
+from tests.oracles import edge_move_delta_cost, scalar_improving_moves
 
 
 @pytest.fixture()
@@ -44,7 +45,8 @@ class TestBatchedMatchesScalar:
         assert candidates, "expected candidates on an unrefined fracture"
         batched = state.price_edge_moves(candidates, cost_integral, active_integral)
         for candidate, priced in zip(candidates, batched):
-            oracle = state.edge_move_delta_cost(
+            oracle = edge_move_delta_cost(
+                state,
                 candidate.index,
                 candidate.edge,
                 candidate.delta,
@@ -69,7 +71,8 @@ class TestBatchedMatchesScalar:
                 candidates, cost_integral, active_integral
             )
             for candidate, priced in zip(candidates, batched):
-                oracle = state.edge_move_delta_cost(
+                oracle = edge_move_delta_cost(
+                    state,
                     candidate.index,
                     candidate.edge,
                     candidate.delta,
@@ -86,15 +89,17 @@ class TestBatchedMatchesScalar:
         cost_integral = state.cost_integral().copy()
         active_integral = state.active_integral().copy()
         for candidate in state.gather_edge_moves(cost_integral):
-            cropped = state.edge_move_delta_cost(
+            cropped = edge_move_delta_cost(
+                state,
                 candidate.index,
                 candidate.edge,
                 candidate.delta,
                 cost_integral,
                 active_integral,
             )
-            full = state.edge_move_delta_cost(
-                candidate.index, candidate.edge, candidate.delta, cost_integral
+            full = edge_move_delta_cost(
+                state, candidate.index, candidate.edge, candidate.delta,
+                cost_integral,
             )
             assert abs(cropped - full) <= 1e-12
 
@@ -161,7 +166,8 @@ class TestProfileCacheTransparency:
         shots, _ = approximate_fracture(l_shape, spec)
         state = RefinementState(l_shape, spec, shots)
         state.imap._profile_cache_limit = 8
-        state.imap.clear_profile_cache()
+        state.imap._profile_cache.clear()
+        state.imap._delta_cache.clear()
         recorder = TelemetryRecorder()
         with recording(recorder):
             cost_integral = state.cost_integral().copy()
@@ -178,7 +184,8 @@ class TestMaintainedCostField:
 
     Only the field-vs-I_tot relation is exact.  I_tot itself drifts from
     a from-scratch rebuild by a few 1e-8 (the 4σ window truncation, see
-    DESIGN.md), so no bound against a rebuild is asserted here.
+    DESIGN.md: 3.0e-8 on ILT-1, 4.3e-8 on ILT-7), so the rebuild check
+    bounds the drift at 1e-7 instead of asserting equality.
     """
 
     @pytest.fixture()
@@ -220,6 +227,17 @@ class TestMaintainedCostField:
         assert np.array_equal(report.fail_on, fresh.fail_on)
         assert np.array_equal(report.fail_off, fresh.fail_off)
         assert abs(report.cost - fresh.cost) <= 1e-12
+
+    @pytest.mark.parametrize("clip", [0, 6], ids=["ILT-1", "ILT-7"])
+    def test_intensity_drift_bounded(self, clip, spec, refined_state):
+        # Thousands of committed band updates, add/remove and merge
+        # mutations: the maintained I_tot stays within the 4σ truncation
+        # of a from-scratch rebuild.
+        state = refined_state(ilt_suite()[clip], spec)
+        fresh = IntensityMap(state.shape.grid, spec.sigma)
+        fresh.rebuild(list(state.background) + state.shots)
+        drift = np.max(np.abs(state.imap.total - fresh.total))
+        assert drift <= 1e-7
 
 
 class TestBlockedZoneIndex:

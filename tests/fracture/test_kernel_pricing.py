@@ -1,7 +1,7 @@
 """Bit-identity gates for the compiled pricing kernel.
 
-The compiled ``clamped_band_sums`` path must reproduce the
-per-candidate loop engine bit for bit: same elementwise operation
+The compiled ``clamped_band_sums`` path must reproduce the base class's
+per-candidate NumPy loop bit for bit: same elementwise operation
 sequence, same pairwise per-candidate sums, same old-cost corner order,
 so ``np.array_equal`` on the int64 view (not approximate closeness) is
 the bar.  When the kernel cannot be loaded, pricing must route through
@@ -23,7 +23,7 @@ from repro.kernels.backend import KernelBackend
 from repro.kernels.numpy_backend import NumpyBackend
 from repro.obs import TelemetryRecorder, recording
 from repro.obs.summarize import format_summary
-from tests.oracles import ScalarOracle
+from tests.oracles import ScalarOracle, edge_move_delta_cost
 
 
 def _bits(values: np.ndarray) -> np.ndarray:
@@ -33,7 +33,7 @@ def _bits(values: np.ndarray) -> np.ndarray:
 @pytest.fixture()
 def backend() -> NumpyBackend:
     backend = NumpyBackend()
-    if not backend.compiled_pricing:
+    if backend.pricing_fallback is not None:
         pytest.skip(f"compiled kernel unavailable: {backend.pricing_fallback}")
     return backend
 
@@ -50,16 +50,17 @@ def _inputs(state: RefinementState):
     return candidates, cost_integral, active_integral
 
 
+def _price(state, backend, candidates, cost_integral, active_integral):
+    with use_backend(backend):
+        return state.price_edge_moves(candidates, cost_integral, active_integral)
+
+
 def _assert_compiled_equals_loop(state, backend) -> int:
-    candidates, cost_integral, active_integral = _inputs(state)
-    compiled_prices = state._price_edge_moves_compiled(
-        candidates, cost_integral, active_integral, backend
-    )
-    loop = state._price_edge_moves_loop(
-        candidates, cost_integral, active_integral
-    )
+    inputs = _inputs(state)
+    compiled_prices = _price(state, backend, *inputs)
+    loop = _price(state, KernelBackend(), *inputs)
     assert np.array_equal(_bits(compiled_prices), _bits(loop))
-    return len(candidates)
+    return len(inputs[0])
 
 
 @pytest.fixture()
@@ -73,13 +74,9 @@ def priced_inputs(l_shape, spec):
 
 class TestFusedBitIdentity:
     def test_fused_kernel_equals_loop(self, priced_inputs, backend):
-        state, candidates, cost_integral, active_integral = priced_inputs
-        priced = state._price_edge_moves_compiled(
-            candidates, cost_integral, active_integral, backend
-        )
-        loop = state._price_edge_moves_loop(
-            candidates, cost_integral, active_integral
-        )
+        state, *inputs = priced_inputs
+        priced = _price(state, backend, *inputs)
+        loop = _price(state, KernelBackend(), *inputs)
         assert np.array_equal(_bits(priced), _bits(loop))
 
     def test_public_dispatch_identical_across_backends(self, priced_inputs):
@@ -99,7 +96,8 @@ class TestFusedBitIdentity:
                 candidates, cost_integral, active_integral
             )
         for candidate, value in zip(candidates, priced):
-            oracle = state.edge_move_delta_cost(
+            oracle = edge_move_delta_cost(
+                state,
                 candidate.index,
                 candidate.edge,
                 candidate.delta,
@@ -145,12 +143,12 @@ class TestCompiledOnPaperClips:
         mask[:, nx // 2 - 40 : nx // 2 + 40] = True
         with use_backend(backend):
             state = RefinementState(ilt1, spec, shots, active_mask=mask)
-            assert state._crop is not None
+            assert state._box != (0, ny, 0, nx)
             priced = 0
             for _ in range(4):
                 priced += _assert_compiled_equals_loop(state, backend)
                 box_expect = KernelBackend().cost_integral(
-                    state._cost_base, state._crop, np.zeros((ny + 1, nx + 1))
+                    state._cost_base, state._box, np.zeros((ny + 1, nx + 1))
                 )
                 assert np.array_equal(
                     _bits(state.cost_integral()), _bits(box_expect)
@@ -201,7 +199,6 @@ class TestForcedFallback:
             expect, _ = refine(l_shape, spec, initial, params)
         monkeypatch.setattr(compiled, "kernel", lambda: (None, "build_failed"))
         fallback = NumpyBackend()
-        assert not fallback.compiled_pricing
         assert fallback.describe()["pricing"] == "loop"
         assert fallback.describe()["pricing_fallback"] == "build_failed"
         recorder = TelemetryRecorder()

@@ -1,16 +1,14 @@
-"""Equivalence gates for the seam-band cost-field crop.
+"""Gates for the seam-band field box of a region-restricted state.
 
-A region-restricted ``RefinementState`` under the numpy backend keeps
-its per-iteration cost/active fields cropped to the active-mask
-bounding box; under the scalar oracle backend of ``tests/oracles.py``
-it works on the full grid.  The signed weight is exactly zero outside
-the active mask, so everything observable — failure masks, candidate
-gathering, candidate prices, and the shots a stitch produces — must
-agree across the two layouts.  Cost
-*sums* may differ in final ULPs (different pairwise-summation grouping
-over the same nonzero values), which is why the gate is at the
-shot/decision level with exact equality and at the scalar-cost level
-with 1e-12 closeness.
+A region-restricted ``RefinementState`` keeps its per-iteration cost and
+active fields on the active mask's bounding box (its *field box*; an
+unrestricted state's box is the whole grid).  The signed weight is
+exactly zero outside the mask, so everything observable — failure
+masks, integral lookups, candidate gathering, candidate prices and the
+shots a stitch produces — must equal what a fresh full-grid evaluation
+from I_tot gives.  Masks, lookups, gathered candidates and shots are
+compared exactly; cost *sums* with 1e-12 closeness (the box and the
+grid are summed in different pairwise groupings).
 """
 
 from __future__ import annotations
@@ -27,78 +25,131 @@ from repro.fracture.state import RefinementState
 from repro.fracture.windowed import WindowedFracturer
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.geometry.rect import EDGES, Rect
 from repro.kernels import use_backend
 from repro.kernels.numpy_backend import NumpyBackend
+from repro.mask.constraints import failure_report
 from repro.mask.shape import MaskShape
-from tests.oracles import ScalarOracle
-
-
-def _band_mask(shape, half_width: int = 6) -> np.ndarray:
-    ny, nx = shape.grid.shape
-    mask = np.zeros((ny, nx), dtype=bool)
-    mid = nx // 2
-    mask[:, mid - half_width:mid + half_width] = True
-    return mask
+from tests.oracles import ScalarOracle, edge_move_delta_cost, make_edge_move_candidate
 
 
 @pytest.fixture()
-def seam_states(l_shape, spec):
+def seam_state(l_shape, spec) -> RefinementState:
+    # An active region whose box stops short of the grid on three sides
+    # yet still admits candidate moves on the L's lower bar.
+    ny, nx = l_shape.grid.shape
+    mask = np.zeros((ny, nx), dtype=bool)
+    mask[: ny * 7 // 10, 2 : nx - 2] = True
     shots, _ = approximate_fracture(l_shape, spec)
-    mask = _band_mask(l_shape)
-    with use_backend(NumpyBackend()):
-        cropped = RefinementState(l_shape, spec, shots, active_mask=mask)
-    with use_backend(ScalarOracle()):
-        full = RefinementState(l_shape, spec, shots, active_mask=mask)
-    return cropped, full
+    return RefinementState(l_shape, spec, shots, active_mask=mask)
+
+
+def _fresh_integrals(state: RefinementState) -> tuple[np.ndarray, np.ndarray]:
+    """Full-grid cost and active prefix sums computed from I_tot alone."""
+    base = state._cost_sign * state.imap.total - state._cost_bias
+    ny, nx = base.shape
+    cost = np.zeros((ny + 1, nx + 1))
+    cost[1:, 1:] = np.maximum(base, 0.0).cumsum(axis=0).cumsum(axis=1)
+    active = np.zeros((ny + 1, nx + 1), dtype=np.int32)
+    active[1:, 1:] = (base > -state.patch_bound()).cumsum(axis=0).cumsum(axis=1)
+    return cost, active
+
+
+def _lookup(integral: np.ndarray, window) -> float:
+    ys, xs = window
+    return float(
+        integral[ys.stop, xs.stop]
+        - integral[ys.start, xs.stop]
+        - integral[ys.stop, xs.start]
+        + integral[ys.start, xs.start]
+    )
 
 
 class TestCroppedStateMatchesFull:
-    def test_crop_engages_only_with_capability(self, seam_states):
-        cropped, full = seam_states
-        assert cropped._crop is not None
-        assert full._crop is None
-        r0, r1, c0, c1 = cropped._crop
-        assert (r1 - r0) * (c1 - c0) < cropped.pixels.on.size
+    def test_field_box_is_active_bbox(self, seam_state, l_shape, spec):
+        mask = seam_state.active_mask
+        rows = np.flatnonzero(mask.any(axis=1))
+        cols = np.flatnonzero(mask.any(axis=0))
+        r0, r1, c0, c1 = seam_state._box
+        assert (r0, r1, c0, c1) == (rows[0], rows[-1] + 1, cols[0], cols[-1] + 1)
+        assert (r1 - r0) * (c1 - c0) < mask.size
+        full = RefinementState(l_shape, spec, seam_state.shots)
+        assert full._box == (0, mask.shape[0], 0, mask.shape[1])
 
-    def test_reports_identical(self, seam_states):
-        cropped, full = seam_states
-        rep_c = cropped.report()
-        rep_f = full.report()
-        assert np.array_equal(rep_c.fail_on, rep_f.fail_on)
-        assert np.array_equal(rep_c.fail_off, rep_f.fail_off)
-        assert math.isclose(rep_c.cost, rep_f.cost, rel_tol=1e-12, abs_tol=1e-12)
+    def test_reports_identical(self, seam_state, spec):
+        report = seam_state.report()
+        fresh = failure_report(seam_state.imap.total, seam_state.pixels, spec.rho)
+        assert np.array_equal(report.fail_on, fresh.fail_on)
+        assert np.array_equal(report.fail_off, fresh.fail_off)
+        assert math.isclose(report.cost, fresh.cost, rel_tol=1e-12, abs_tol=1e-12)
 
-    def test_integral_lookups_identical_inside_mask(self, seam_states):
-        cropped, full = seam_states
-        ci_c = cropped.cost_integral()
-        ci_f = full.cost_integral()
+    def test_integral_lookups_identical_inside_mask(self, seam_state):
+        # Zeros outside the box add nothing, so the box-local prefix sums
+        # equal the fresh full-grid ones bit for bit wherever a lookup
+        # reads them (corners past the box are clamped to its edge).
+        integral = seam_state.cost_integral()
+        fresh, _ = _fresh_integrals(seam_state)
         rng = np.random.default_rng(42)
-        ny, nx = cropped.pixels.on.shape
-        r0, r1, c0, c1 = cropped._crop
+        ny, nx = seam_state.pixels.on.shape
         for _ in range(50):
             y0 = int(rng.integers(0, ny - 1))
             x0 = int(rng.integers(0, nx - 1))
             y1 = int(rng.integers(y0 + 1, ny + 1))
             x1 = int(rng.integers(x0 + 1, nx + 1))
             window = (slice(y0, y1), slice(x0, x1))
-            assert cropped.window_cost_from_integral(ci_c, window) == \
-                full.window_cost_from_integral(ci_f, window)
+            assert seam_state.window_cost_from_integral(integral, window) == \
+                _lookup(fresh, window)
 
-    def test_gather_and_prices_identical(self, seam_states):
-        cropped, full = seam_states
-        ci_c = cropped.cost_integral().copy()
-        ai_c = cropped.active_integral().copy()
-        ci_f = full.cost_integral().copy()
-        ai_f = full.active_integral().copy()
-        cands_c = cropped.gather_edge_moves(ci_c)
-        cands_f = full.gather_edge_moves(ci_f)
-        key = lambda c: (c.index, c.edge, c.delta)
-        assert [key(c) for c in cands_c] == [key(c) for c in cands_f]
-        with use_backend(NumpyBackend()):
-            prices_c = cropped.price_edge_moves(cands_c, ci_c, ai_c)
-        with use_backend(ScalarOracle()):
-            prices_f = full.price_edge_moves(cands_f, ci_f, ai_f)
-        assert np.array_equal(prices_c, prices_f)
+    def test_gather_and_prices_identical(self, seam_state, spec):
+        state = seam_state
+        cost_integral = state.cost_integral().copy()
+        active_integral = state.active_integral().copy()
+        fresh_cost, fresh_active = _fresh_integrals(state)
+        candidates = state.gather_edge_moves(cost_integral)
+        expect = [
+            candidate
+            for index, shot in enumerate(state.shots)
+            for edge in EDGES
+            if _lookup(fresh_cost, state.edge_pricing_window(shot, edge)) > 0.0
+            for delta in (spec.pitch, -spec.pitch)
+            if (candidate := make_edge_move_candidate(state, index, edge, delta))
+        ]
+        assert candidates and candidates == expect
+        prices = {}
+        for name, backend in (("numpy", NumpyBackend()), ("scalar", ScalarOracle())):
+            with use_backend(backend):
+                prices[name] = state.price_edge_moves(
+                    candidates, cost_integral, active_integral
+                )
+        assert np.array_equal(prices["numpy"], prices["scalar"])
+        for candidate, price in zip(candidates, prices["numpy"]):
+            oracle = edge_move_delta_cost(
+                state, candidate.index, candidate.edge, candidate.delta,
+                fresh_cost, fresh_active,
+            )
+            assert abs(price - oracle) <= 1e-12
+
+
+    def test_pricing_region_past_box_is_clamped(self, rect_shape, spec):
+        # The active region is exactly the window of the right edge's
+        # inward move, so that move is a candidate while the edge's
+        # pricing region (the outward move's window) reaches one column
+        # past the field box; its cost must still be read, clamped.
+        shot = Rect(0.0, 0.0, 50.0, 40.0)  # short of the 60 nm target
+        grid = rect_shape.grid
+        reach = 4.0 * spec.sigma
+        inward = (
+            grid.y_span_to_slice(shot.ybl, shot.ytr, reach),
+            grid.x_span_to_slice(shot.xtr - spec.pitch, shot.xtr, reach),
+        )
+        mask = np.zeros(grid.shape, dtype=bool)
+        mask[inward] = True
+        state = RefinementState(rect_shape, spec, [shot], active_mask=mask)
+        region = state.edge_pricing_window(shot, "right")
+        assert region[1].stop == state._box[3] + 1
+        candidates = state.gather_edge_moves(state.cost_integral())
+        assert [(c.edge, c.delta) for c in candidates] == [("right", -spec.pitch)]
+        assert candidates[0].window == inward
 
 
 class TestWindowedStitchShotIdentity:

@@ -15,6 +15,7 @@ from repro.fracture.tiling import (
 from repro.geometry.raster import PixelGrid
 from repro.geometry.rect import Rect
 from repro.mask.shape import MaskShape
+from tests.oracles import edge_move_delta_cost, make_edge_move_candidate
 
 
 def _bars_shape() -> MaskShape:
@@ -166,10 +167,13 @@ class TestMutationGuard:
         return state, shot
 
     def test_edge_move_forbidden_outside_mask(self, rect_shape, spec):
-        state, _ = self._restricted_state(rect_shape, spec)
+        state, shot = self._restricted_state(rect_shape, spec)
+        before = state.imap.total.copy()
         assert not state.apply_edge_move(0, "right", spec.pitch)
-        assert state.edge_move_delta_cost(0, "right", spec.pitch) is None
-        assert state.make_edge_move_candidate(0, "right", spec.pitch) is None
+        assert state.shots == [shot]
+        assert np.array_equal(state.imap.total, before)
+        assert edge_move_delta_cost(state, 0, "right", spec.pitch) is None
+        assert make_edge_move_candidate(state, 0, "right", spec.pitch) is None
 
     def test_gather_excludes_forbidden_moves(self, rect_shape, spec):
         state, _ = self._restricted_state(rect_shape, spec)

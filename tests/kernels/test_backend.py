@@ -42,27 +42,28 @@ class TestRegistry:
 class TestCapabilities:
     def test_numpy_capabilities(self):
         backend = NumpyBackend()
-        assert backend.crop_stitch_field
         # Compiled pricing unless the kernel fell back, with a reason.
-        assert backend.compiled_pricing == (backend.pricing_fallback is None)
         assert backend.pricing_fallback in (
             None, "no_compiler", "build_failed", "selfcheck_mismatch"
+        )
+        assert backend.describe()["pricing"] == (
+            "loop" if backend.pricing_fallback else "compiled"
         )
 
     def test_scalar_is_pure_oracle(self):
         backend = ScalarOracle()
-        assert not backend.compiled_pricing
         assert backend.pricing_fallback is None
-        assert not backend.crop_stitch_field
+        assert backend.describe()["pricing"] == "loop"
+        # Pricing and prefix sums are the base class's NumPy paths.
+        for method in ("clamped_band_sums", "cost_integral", "active_integral"):
+            assert getattr(ScalarOracle, method) is getattr(KernelBackend, method)
 
     def test_manifest_records_backend_and_variants(self):
         with use_backend(NumpyBackend()):
             manifest = kernels_manifest()
         assert manifest["backend"] == "numpy"
         variants = manifest["variants"]
-        assert set(variants) == {
-            "labeling", "pricing", "pricing_fallback", "stitch_field"
-        }
+        assert set(variants) == {"labeling", "pricing", "pricing_fallback"}
         assert variants["labeling"] == "run_length_row_merge"
         assert variants["pricing"] == (
             "loop" if variants["pricing_fallback"] else "compiled"
@@ -72,7 +73,6 @@ class TestCapabilities:
                 "labeling": "python_union_find",
                 "pricing": "loop",
                 "pricing_fallback": None,
-                "stitch_field": "full",
             }
 
 

@@ -6,13 +6,21 @@ path can be compared against it bit for bit:
 
 * :class:`ScalarOracle` — a kernel backend routing every hot spot
   through the oracle paths: the per-pixel raster union–find labeling,
-  the per-label ``np.nonzero`` bounding-box scan, the per-candidate
-  NumPy pricing loop, the ``np.cumsum`` prefix sums and the full-grid
-  stitch cost field.  Install it with
-  ``repro.kernels.use_backend(ScalarOracle())``.
+  the per-label ``np.nonzero`` bounding-box scan, and the base class's
+  per-candidate NumPy pricing loop and ``np.cumsum`` prefix sums.
+  Install it with ``repro.kernels.use_backend(ScalarOracle())``.
+* The per-candidate edge-move oracle — :func:`edge_move_delta_cost` and
+  its parts (:func:`make_edge_move_candidate`, :func:`edge_move_patch`,
+  :func:`window_cost`, :func:`score_move_patch`, :func:`crop_to_active`).
+  It derives every window and profile key from :class:`Rect` geometry
+  (``moved_edge`` + ``meets_min_size`` + a padded band rectangle),
+  independently of the per-rectangle memo that
+  :meth:`RefinementState.gather_edge_moves` prices and
+  :meth:`RefinementState.apply_edge_move` commits, so comparing the two
+  checks the memo.
 * :func:`scalar_improving_moves` — the per-candidate pricing pass of
-  greedy edge adjustment, one :meth:`RefinementState.edge_move_delta_cost`
-  call per ±Δp move.  Monkeypatched over
+  greedy edge adjustment, one :func:`edge_move_delta_cost` call per ±Δp
+  move.  Monkeypatched over
   ``repro.fracture.edge_adjust._batched_improving_moves`` it runs a whole
   refinement on the scalar engine.
 """
@@ -21,8 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ebeam.intensity_map import IntensityMap, ProfileKey
 from repro.fracture.edge_adjust import _IMPROVEMENT_EPS, _Move
-from repro.fracture.state import RefinementState
+from repro.fracture.state import EdgeMoveCandidate, RefinementState
 from repro.geometry.labeling import label_components_scalar
 from repro.geometry.rect import EDGES, Rect
 from repro.kernels.backend import KernelBackend
@@ -31,8 +40,6 @@ from repro.obs import get_recorder
 
 class ScalarOracle(KernelBackend):
     name = "scalar"
-    compiled_pricing = False
-    crop_stitch_field = False
 
     def label_components(self, mask: np.ndarray) -> tuple[np.ndarray, int]:
         return label_components_scalar(mask)
@@ -66,8 +73,182 @@ class ScalarOracle(KernelBackend):
             "labeling": "python_union_find",
             "pricing": "loop",
             "pricing_fallback": None,
-            "stitch_field": "full",
         }
+
+
+# -- per-candidate edge-move oracle -------------------------------------------
+
+Window = tuple[slice, slice]
+
+
+def edge_move_window(imap: IntensityMap, old: Rect, new: Rect, edge: str) -> Window:
+    """Window where a single-edge move changes the intensity.
+
+    For a vertical-edge move only the x profile changes, and only within
+    the blur reach of the swept strip — a narrow band spanning the
+    shot's full (padded) height, and vice versa for horizontal edges.
+    """
+    if edge in ("left", "right"):
+        x_old = old.edge_coordinate(edge)
+        x_new = new.edge_coordinate(edge)
+        band = Rect(
+            min(x_old, x_new), min(old.ybl, new.ybl),
+            max(x_old, x_new), max(old.ytr, new.ytr),
+        )
+    else:
+        y_old = old.edge_coordinate(edge)
+        y_new = new.edge_coordinate(edge)
+        band = Rect(
+            min(old.xbl, new.xbl), min(y_old, y_new),
+            max(old.xtr, new.xtr), max(y_old, y_new),
+        )
+    return imap.grid.rect_to_slices(band, margin=imap.reach)
+
+
+def edge_move_profile_keys(
+    old: Rect, new: Rect, edge: str, window: Window
+) -> tuple[ProfileKey, ProfileKey, ProfileKey]:
+    """The (old, new, fixed) profile keys of an edge move's patch."""
+    ys, xs = window
+    if edge in ("left", "right"):
+        return (
+            ("x", old.xbl, old.xtr, xs.start, xs.stop),
+            ("x", new.xbl, new.xtr, xs.start, xs.stop),
+            ("y", old.ybl, old.ytr, ys.start, ys.stop),
+        )
+    return (
+        ("y", old.ybl, old.ytr, ys.start, ys.stop),
+        ("y", new.ybl, new.ytr, ys.start, ys.stop),
+        ("x", old.xbl, old.xtr, xs.start, xs.stop),
+    )
+
+
+def edge_move_patch(
+    imap: IntensityMap, old: Rect, new: Rect, edge: str
+) -> tuple[Window, np.ndarray]:
+    """Intensity change of a single-edge move, on its narrow window:
+    (moved-axis profile difference) × (unchanged-axis profile)."""
+    window = edge_move_window(imap, old, new, edge)
+    k_old, k_new, k_fixed = edge_move_profile_keys(old, new, edge, window)
+    moved = imap.profile(k_new) - imap.profile(k_old)
+    fixed = imap.profile(k_fixed)
+    if edge in ("left", "right"):
+        return window, fixed[:, None] * moved[None, :]
+    return window, moved[:, None] * fixed[None, :]
+
+
+def _valid_move(
+    state: RefinementState, index: int, edge: str, delta: float
+) -> tuple[Rect, Rect, Window] | None:
+    """``(shot, moved shot, window)``, or None when the move inverts the
+    shot, breaks L_min or leaves the active mask."""
+    shot = state.shots[index]
+    try:
+        moved = shot.moved_edge(edge, delta)
+    except ValueError:
+        return None
+    if not moved.meets_min_size(state.spec.lmin):
+        return None
+    window = edge_move_window(state.imap, shot, moved, edge)
+    if not state.mutation_allowed(window):
+        return None
+    return shot, moved, window
+
+
+def make_edge_move_candidate(
+    state: RefinementState, index: int, edge: str, delta: float
+) -> EdgeMoveCandidate | None:
+    """The candidate the library should gather for this move (or None)."""
+    valid = _valid_move(state, index, edge, delta)
+    if valid is None:
+        return None
+    shot, moved, window = valid
+    keys = edge_move_profile_keys(shot, moved, edge, window)
+    return EdgeMoveCandidate(index, edge, delta, window, keys)
+
+
+def window_cost(
+    state: RefinementState, window: Window, total_window: np.ndarray
+) -> float:
+    """Eq. 5 cost of ``total_window`` (I_tot values) on one window."""
+    clamped = total_window * state._cost_sign[window]
+    clamped -= state._cost_bias[window]
+    np.maximum(clamped, 0.0, out=clamped)
+    return float(clamped.sum())
+
+
+def score_move_patch(
+    state: RefinementState, window: Window, patch_delta: np.ndarray
+) -> float:
+    """Eq. 5 cost of ``I_tot + patch_delta`` on the window (destroys
+    ``patch_delta``), in the batched engine's operation order."""
+    patch_delta *= state._cost_sign[window]
+    patch_delta += state._cost_base[window]
+    np.maximum(patch_delta, 0.0, out=patch_delta)
+    return float(patch_delta.sum())
+
+
+def crop_to_active(
+    active_integral: np.ndarray, window: Window
+) -> tuple[int, int, int, int] | None:
+    """Row/column sub-range ``(r0, r1, c0, c1)`` of ``window`` holding
+    every active pixel, or None when it holds none (Δcost exactly 0)."""
+    ys, xs = window
+    rowcum = (
+        active_integral[ys.start : ys.stop + 1, xs.stop]
+        - active_integral[ys.start : ys.stop + 1, xs.start]
+    )
+    if rowcum[-1] == rowcum[0]:
+        return None
+    r0 = int(rowcum.searchsorted(rowcum[0], side="right")) - 1
+    r1 = int(rowcum.searchsorted(rowcum[-1], side="left"))
+    colcum = (
+        active_integral[ys.stop, xs.start : xs.stop + 1]
+        - active_integral[ys.start, xs.start : xs.stop + 1]
+    )
+    c0 = int(colcum.searchsorted(colcum[0], side="right")) - 1
+    c1 = int(colcum.searchsorted(colcum[-1], side="left"))
+    return r0, r1, c0, c1
+
+
+def edge_move_delta_cost(
+    state: RefinementState,
+    index: int,
+    edge: str,
+    delta: float,
+    cost_integral: np.ndarray | None = None,
+    active_integral: np.ndarray | None = None,
+) -> float | None:
+    """Cost change of moving one edge of shot ``index`` by ``delta``.
+
+    None for moves the state would refuse.  ``cost_integral`` makes the
+    old-cost side an O(1) lookup (else it is summed from I_tot);
+    ``active_integral`` (only valid for ``|delta| ≤ Δp``) crops the
+    scoring to the active sub-window.
+    """
+    valid = _valid_move(state, index, edge, delta)
+    if valid is None:
+        return None
+    shot, moved, _ = valid
+    window, patch_delta = edge_move_patch(state.imap, shot, moved, edge)
+    if active_integral is not None:
+        crop = crop_to_active(active_integral, window)
+        if crop is None:
+            return 0.0
+        r0, r1, c0, c1 = crop
+        ys, xs = window
+        window = (
+            slice(ys.start + r0, ys.start + r1),
+            slice(xs.start + c0, xs.start + c1),
+        )
+        # Contiguous copy so the clamped sum reduces in the same order
+        # as the batched engine's scratch segment.
+        patch_delta = np.ascontiguousarray(patch_delta[r0:r1, c0:c1])
+    if cost_integral is not None:
+        old_cost = state.window_cost_from_integral(cost_integral, window)
+    else:
+        old_cost = window_cost(state, window, state.imap.total[window])
+    return score_move_patch(state, window, patch_delta) - old_cost
 
 
 def _edge_worth_pricing(
@@ -96,8 +277,8 @@ def scalar_improving_moves(
                 continue
             best: _Move | None = None
             for delta in (pitch, -pitch):
-                dcost = state.edge_move_delta_cost(
-                    index, edge, delta, cost_integral, active_integral
+                dcost = edge_move_delta_cost(
+                    state, index, edge, delta, cost_integral, active_integral
                 )
                 if dcost is None:
                     continue

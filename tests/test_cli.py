@@ -579,3 +579,62 @@ class TestHierarchyCli:
               "--checkpoint", str(ckpt), "--resume"])
         second = capsys.readouterr().out
         assert first.splitlines()[-1] == second.splitlines()[-1]
+
+
+class TestCheckpointMismatchExit:
+    def test_pre_v1_batch_journal_exits_cleanly(self, tmp_path):
+        # A journal from an older format on --resume is a user error: one
+        # line on stderr and exit 1, not a traceback.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.geometry.polygon import Polygon
+        from repro.mask.io import save_clips
+
+        save_clips(
+            {"a": Polygon([(0, 0), (60, 0), (60, 40), (0, 40)])},
+            tmp_path / "clips.json",
+        )
+        ckpt = tmp_path / "ck"
+        ckpt.mkdir()
+        (ckpt / "batch.index.jsonl").write_text(
+            '{"v": 1, "shape": "a", "fingerprint": "x", "payload": {}}\n'
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "mdp", "clips.json",
+             "--method", "partition", "--checkpoint", "ck", "--resume"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "not a repro.checkpoint/v1 journal" in done.stderr
+        assert "rerun without --resume" in done.stderr
+
+    def test_tiled_resume_with_changed_run_key(self, tmp_path, capsys):
+        from repro.geometry.polygon import Polygon
+        from repro.mask.io import save_clips
+
+        clip_file = tmp_path / "clips.json"
+        save_clips(
+            {"bar": Polygon([(0, 0), (300, 0), (300, 40), (0, 40)])}, clip_file
+        )
+        ckpt = str(tmp_path / "ck")
+        base = ["fracture", "--clip-file", str(clip_file),
+                "--method", "partition", "--checkpoint", ckpt]
+        main([*base, "--window-nm", "100"])
+        capsys.readouterr()
+        assert main([*base, "--window-nm", "120", "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert "different run" in err and "rerun without --resume" in err
+
+    @pytest.mark.parametrize("value", ["-1", "x"])
+    def test_tile_retries_validated_by_parser(self, value, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["fracture", "--window-nm", "100", "--tile-retries", value]
+            )
+        assert "--tile-retries" in capsys.readouterr().err
